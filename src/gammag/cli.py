@@ -53,8 +53,11 @@ def _resolve_structure(arg: str) -> GammaMagma:
 
 
 def _load_fuzzy(path: str, order: int):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot parse fuzzy subset file {path}: {exc}") from None
     return fuzzy_from_dict(data, order=order)
 
 
@@ -130,6 +133,8 @@ def cmd_verify(args) -> int:
     m = _resolve_structure(args.structure)
     if args.lattice < 1:
         raise InputError("lattice denominator must be positive")
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     lattice = Lattice(args.lattice)
     mode, seed, samples = _parse_mode(args.mode)
     if args.theorem == "all":

@@ -60,7 +60,7 @@ class GammaMagma:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
             raise InputError("order must be a positive integer")
         gamma = tuple(self.gamma)
         if not gamma:
@@ -313,7 +313,8 @@ def _scan_band(m: GammaMagma) -> LawWitness | None:
     return None
 
 
-def _find_left_identity(m: GammaMagma) -> int | None:
+def find_left_identity(m: GammaMagma) -> int | None:
+    """Least e with e g x == x for every label g and element x, if any."""
     for e in range(m.order):
         if all(table[e][x] == x for table in m.tables for x in range(m.order)):
             return e
@@ -340,7 +341,7 @@ def check_laws(m: GammaMagma) -> LawReport:
         flags[law] = w is None
         if w is not None:
             witnesses[law] = w
-    e = _find_left_identity(m)
+    e = find_left_identity(m)
     report = LawReport(
         left_invertive=flags["left_invertive"],
         medial=flags["medial"],
@@ -442,12 +443,14 @@ def structure_from_dict(d: dict) -> GammaMagma:
 
 def load_structure(path) -> GammaMagma:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read structure file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"structure file {path} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"structure file {path} is not valid JSON: {exc}") from None
     return structure_from_dict(data)
 

@@ -22,6 +22,27 @@ IDEAL_KINDS = (
     "quasi",
 )
 
+# The kind table. A base kind asks that the intersection of its products
+# stays inside the subset A. A product is spelled by its factors, left to
+# right and bracketed to the left, with A for the subset and S for the
+# whole carrier: "SAS" is (S A) S. The fuzzy reading puts f for A and the
+# all-ones subset for S, so a one-product kind becomes the pointwise bound
+# f(product) >= min of f over the A factors.
+KIND_SHAPES = {
+    "subgroupoid": ("AA",),
+    "left": ("SA",),
+    "right": ("AS",),
+    "generalized_bi": ("ASA",),
+    "interior": ("SAS",),
+    "quasi": ("SA", "AS"),
+}
+
+# Kinds that are conjunctions of base kinds, parts checked in this order.
+KIND_PARTS = {
+    "two_sided": ("left", "right"),
+    "bi": ("subgroupoid", "generalized_bi"),
+}
+
 ENUMERATION_ORDER_CAP = 20
 
 
@@ -118,32 +139,37 @@ def set_product(m: GammaMagma, a: CrispSubset, b: CrispSubset) -> CrispSubset:
     return CrispSubset(m.order, bits)
 
 
+def _clauses(kind: str) -> tuple[tuple[str, ...], ...]:
+    """The kind as a conjunction of base kinds, each given by its shapes."""
+    return tuple(KIND_SHAPES[part] for part in KIND_PARTS.get(kind, (kind,)))
+
+
+def _shape_product(m: GammaMagma, shape: str, products: dict) -> CrispSubset:
+    """Product spelled by shape; products caches them and starts with A and S."""
+    p = products.get(shape)
+    if p is None:
+        p = products[shape] = set_product(m, _shape_product(m, shape[:-1], products), products[shape[-1]])
+    return p
+
+
+def _has_kind(m: GammaMagma, clauses, products: dict) -> bool:
+    a = products["A"]
+    for shapes in clauses:
+        inside = _shape_product(m, shapes[0], products)
+        for shape in shapes[1:]:
+            inside = inside.intersection(_shape_product(m, shape, products))
+        if not inside.issubset(a):
+            return False
+    return True
+
+
 def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
     """Every ideal kind the non-empty subset satisfies."""
     _check_carrier(m, a)
     if not a:
         raise InputError("classification needs a non-empty subset")
-    s = CrispSubset.full(m.order)
-    aga = set_product(m, a, a)
-    sga = set_product(m, s, a)
-    ags = set_product(m, a, s)
-    kinds = set()
-    if aga.issubset(a):
-        kinds.add("subgroupoid")
-    if sga.issubset(a):
-        kinds.add("left")
-    if ags.issubset(a):
-        kinds.add("right")
-    if "left" in kinds and "right" in kinds:
-        kinds.add("two_sided")
-    if set_product(m, ags, a).issubset(a):
-        kinds.add("generalized_bi")
-    if "generalized_bi" in kinds and "subgroupoid" in kinds:
-        kinds.add("bi")
-    if set_product(m, sga, s).issubset(a):
-        kinds.add("interior")
-    if sga.intersection(ags).issubset(a):
-        kinds.add("quasi")
+    products = {"A": a, "S": CrispSubset.full(m.order)}
+    kinds = {kind for kind in IDEAL_KINDS if _has_kind(m, _clauses(kind), products)}
     # Both one-sided products land inside a two-sided ideal, so its
     # intersection does too; a miss here means a product scan is wrong.
     assert "two_sided" not in kinds or "quasi" in kinds
@@ -212,41 +238,19 @@ def is_intra_regular(m: GammaMagma) -> bool:
     return all(intra_regular_witness(m, a) is not None for a in range(m.order))
 
 
-def _kind_predicate(m: GammaMagma, kind: str):
-    if kind not in IDEAL_KINDS:
-        raise InputError(f"unknown ideal kind {kind!r}; expected one of {IDEAL_KINDS}")
-    s = CrispSubset.full(m.order)
-
-    def test(a: CrispSubset) -> bool:
-        if kind == "subgroupoid":
-            return set_product(m, a, a).issubset(a)
-        if kind == "left":
-            return set_product(m, s, a).issubset(a)
-        if kind == "right":
-            return set_product(m, a, s).issubset(a)
-        if kind == "two_sided":
-            return set_product(m, s, a).issubset(a) and set_product(m, a, s).issubset(a)
-        if kind == "generalized_bi":
-            return set_product(m, set_product(m, a, s), a).issubset(a)
-        if kind == "bi":
-            return set_product(m, a, a).issubset(a) and set_product(m, set_product(m, a, s), a).issubset(a)
-        if kind == "interior":
-            return set_product(m, set_product(m, s, a), s).issubset(a)
-        return set_product(m, s, a).intersection(set_product(m, a, s)).issubset(a)
-
-    return test
-
-
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     """All non-empty subsets of the given kind, in ascending bit-pattern order."""
     if m.order > ENUMERATION_ORDER_CAP:
         raise CapacityError(
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
-    test = _kind_predicate(m, kind)
+    if kind not in IDEAL_KINDS:
+        raise InputError(f"unknown ideal kind {kind!r}; expected one of {IDEAL_KINDS}")
+    clauses = _clauses(kind)
+    s = CrispSubset.full(m.order)
     found = []
     for bits in range(1, 1 << m.order):
         a = CrispSubset(m.order, bits)
-        if test(a):
+        if _has_kind(m, clauses, {"A": a, "S": s}):
             found.append(a)
     return found

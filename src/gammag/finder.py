@@ -14,7 +14,14 @@ import itertools
 import string
 from dataclasses import dataclass
 
-from .core import CapacityError, GammaMagma, InputError, LAW_NAMES
+from .core import (
+    CapacityError,
+    GammaMagma,
+    InputError,
+    LAW_NAMES,
+    check_single_law,
+    find_left_identity,
+)
 from .crisp import is_intra_regular
 
 ISO_MODES = ("elements_only", "elements_and_gamma")
@@ -24,19 +31,6 @@ FINDER_PROPERTIES = ("non_factorizable_element", "non_commutative_ag", "ag_not_a
 DEFAULT_NODE_BUDGET = 2_000_000
 
 MAX_ORDER = 6
-
-# laws checked by instance propagation; has_left_identity is existential
-# and is checked only on completed tables
-_PROPAGATED = (
-    "left_invertive",
-    "medial",
-    "ag_star_star",
-    "paramedial",
-    "commutative",
-    "associative",
-    "band",
-)
-
 
 class SearchBudgetError(CapacityError):
     """Node budget ran out mid-search; carries the frontier reached."""
@@ -163,14 +157,6 @@ def _iso_group(n: int, k: int, iso_mode: str) -> list[tuple[tuple[int, ...], tup
     return out
 
 
-def _has_left_identity(t: list[int], n: int, k: int) -> bool:
-    n2 = n * n
-    return any(
-        all(t[g * n2 + e * n + x] == x for g in range(k) for x in range(n))
-        for e in range(n)
-    )
-
-
 def _gamma_labels(k: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:k])
 
@@ -252,11 +238,13 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     def rec(depth):
         nonlocal nodes, emitted
         if depth == total:
-            if needs_left_identity and not _has_left_identity(t, n, k):
-                return
-            if property_check is not None and not property_check(t, n, k):
-                return
+            # the existential law and the properties are decided on the
+            # completed structure
             m = _build_magma(t, n, k)
+            if needs_left_identity and find_left_identity(m) is None:
+                return
+            if property_check is not None and not property_check(m):
+                return
             if spec.intra_regular and not is_intra_regular(m):
                 return
             emitted += 1
@@ -300,36 +288,10 @@ def enumerate_models(spec: SearchSpec):
     return _models(spec, canonical=True)
 
 
-def _prop_non_factorizable(t, n, k):
-    return any(v not in t for v in range(n))
-
-
-def _prop_non_commutative(t, n, k):
-    n2 = n * n
-    return any(
-        t[g * n2 + x * n + y] != t[g * n2 + y * n + x]
-        for g in range(k)
-        for x in range(n)
-        for y in range(x + 1, n)
-    )
-
-
-def _prop_not_ag_star_star(t, n, k):
-    n2 = n * n
-    for a in range(k):
-        for b in range(k):
-            for x, y, z in itertools.product(range(n), repeat=3):
-                lhs = t[a * n2 + x * n + t[b * n2 + y * n + z]]
-                rhs = t[a * n2 + y * n + t[b * n2 + x * n + z]]
-                if lhs != rhs:
-                    return True
-    return False
-
-
 _PROPERTY_CHECKS = {
-    "non_factorizable_element": (_prop_non_factorizable, 2),
-    "non_commutative_ag": (_prop_non_commutative, 3),
-    "ag_not_ag_star_star": (_prop_not_ag_star_star, 4),
+    "non_factorizable_element": (lambda m: not m.every_element_factorizable, 2),
+    "non_commutative_ag": (lambda m: check_single_law(m, "commutative") is not None, 3),
+    "ag_not_ag_star_star": (lambda m: check_single_law(m, "ag_star_star") is not None, 4),
 }
 
 

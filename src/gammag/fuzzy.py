@@ -13,10 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .core import GammaMagma, InputError
-from .crisp import IDEAL_KINDS, CrispSubset
+from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,9 +71,15 @@ class FuzzySubset:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v > ZERO)
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """Common denominator and the integer numerators over it."""
         den = math.lcm(*(v.denominator for v in self.values))
-        return {"den": den, "num": [int(v * den) for v in self.values]}
+        return den, tuple(v.numerator * (den // v.denominator) for v in self.values)
+
+    def to_dict(self) -> dict:
+        den, num = self.scaled
+        return {"den": den, "num": list(num)}
 
 
 def _check_pair(f: FuzzySubset, g: FuzzySubset) -> None:
@@ -145,94 +152,62 @@ class KindWitness(NamedTuple):
     rhs: Fraction
 
 
-def _subgroupoid_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    fv = f.values
-    for x in range(m.order):
-        a = fv[x]
-        for y in range(m.order):
-            bound = min(a, fv[y])
-            for gi, table in enumerate(m.tables):
-                xy = table[x][y]
-                if fv[xy] < bound:
-                    return KindWitness((x, y), (m.gamma[gi],), "geq", fv[xy], bound)
-    return None
-
-
-def _left_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    fv = f.values
-    for x in range(m.order):
-        for y in range(m.order):
-            bound = fv[y]
-            for gi, table in enumerate(m.tables):
-                xy = table[x][y]
-                if fv[xy] < bound:
-                    return KindWitness((x, y), (m.gamma[gi],), "geq", fv[xy], bound)
-    return None
-
-
-def _right_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    fv = f.values
-    for x in range(m.order):
-        bound = fv[x]
-        for y in range(m.order):
-            for gi, table in enumerate(m.tables):
-                xy = table[x][y]
-                if fv[xy] < bound:
-                    return KindWitness((x, y), (m.gamma[gi],), "geq", fv[xy], bound)
-    return None
-
-
-def _two_sided_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    return _left_witness(m, f) or _right_witness(m, f)
-
-
-def _generalized_bi_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    fv = f.values
+def _two_factor_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
+    """First (x, y, g) with f(x g y) below f at the A factors of shape."""
+    den, num = f.scaled
+    # bound weights per factor; an S factor weighs den, membership 1
+    wx, wy = (num if c == "A" else (den,) * m.order for c in shape)
     rng = range(m.order)
     for x in rng:
-        a = fv[x]
+        bx = wx[x]
         for y in rng:
+            bound = wy[y] if wy[y] < bx else bx
+            for gi, table in enumerate(m.tables):
+                xy = table[x][y]
+                if num[xy] < bound:
+                    return KindWitness((x, y), (m.gamma[gi],), "geq", f.values[xy], Fraction(bound, den))
+    return None
+
+
+def _three_factor_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
+    """First (x, y, z, a, b) with f((x a y) b z) below f at the A factors of shape."""
+    den, num = f.scaled
+    wx, wy, wz = (num if c == "A" else (den,) * m.order for c in shape)
+    rng = range(m.order)
+    for x in rng:
+        bx = wx[x]
+        for y in rng:
+            by = wy[y] if wy[y] < bx else bx
             for z in rng:
-                bound = min(a, fv[z])
+                bound = wz[z] if wz[z] < by else by
                 for ai, ta in enumerate(m.tables):
                     xy = ta[x][y]
                     for bi, tb in enumerate(m.tables):
-                        v = fv[tb[xy][z]]
-                        if v < bound:
-                            return KindWitness((x, y, z), (m.gamma[ai], m.gamma[bi]), "geq", v, bound)
+                        xyz = tb[xy][z]
+                        if num[xyz] < bound:
+                            labels = (m.gamma[ai], m.gamma[bi])
+                            return KindWitness((x, y, z), labels, "geq", f.values[xyz], Fraction(bound, den))
     return None
 
 
-def _bi_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    return _subgroupoid_witness(m, f) or _generalized_bi_witness(m, f)
+def _composite(m: GammaMagma, shape: str, factors: dict) -> FuzzySubset:
+    out = factors[shape[0]]
+    for c in shape[1:]:
+        out = gamma_product(m, out, factors[c])
+    return out
 
 
-def _interior_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    fv = f.values
-    rng = range(m.order)
-    for x in rng:
-        for y in rng:
-            bound = fv[y]
-            for z in rng:
-                for ai, ta in enumerate(m.tables):
-                    xy = ta[x][y]
-                    for bi, tb in enumerate(m.tables):
-                        v = fv[tb[xy][z]]
-                        if v < bound:
-                            return KindWitness((x, y, z), (m.gamma[ai], m.gamma[bi]), "geq", v, bound)
-    return None
-
-
-def _quasi_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    ones = FuzzySubset.ones(m.order)
-    both = meet(gamma_product(m, f, ones), gamma_product(m, ones, f))
+def _composite_violation(m: GammaMagma, f: FuzzySubset, shapes) -> KindWitness | None:
+    """First a with f(a) below the meet of the shapes' compositions at a."""
+    factors = {"A": f, "S": FuzzySubset.ones(m.order)}
+    bound = reduce(meet, (_composite(m, shape, factors) for shape in shapes))
     for a in range(m.order):
-        if f.values[a] < both.values[a]:
-            return KindWitness((a,), (), "geq", f.values[a], both.values[a])
+        if f.values[a] < bound.values[a]:
+            return KindWitness((a,), (), "geq", f.values[a], bound.values[a])
     return None
 
 
-def _idempotent_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
+def _idempotent_violation(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
     square = gamma_product(m, f, f)
     for a in range(m.order):
         if square.values[a] != f.values[a]:
@@ -240,82 +215,70 @@ def _idempotent_witness(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
     return None
 
 
-_KIND_WITNESSES = {
-    "subgroupoid": _subgroupoid_witness,
-    "left": _left_witness,
-    "right": _right_witness,
-    "two_sided": _two_sided_witness,
-    "generalized_bi": _generalized_bi_witness,
-    "bi": _bi_witness,
-    "interior": _interior_witness,
-    "quasi": _quasi_witness,
-    "idempotent": _idempotent_witness,
-}
+def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
+    """First failure of kind as the kind table defines it; parts in table order."""
+    if kind == "idempotent":
+        return _idempotent_violation(m, f)
+    parts = KIND_PARTS.get(kind)
+    if parts is not None:
+        for part in parts:
+            w = _violation(m, f, part)
+            if w is not None:
+                return w
+        return None
+    shapes = KIND_SHAPES[kind]
+    if len(shapes) > 1:
+        return _composite_violation(m, f, shapes)
+    if len(shapes[0]) == 2:
+        return _two_factor_violation(m, f, shapes[0])
+    return _three_factor_violation(m, f, shapes[0])
 
 
 def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     """First pointwise failure of the kind constraint, or None if it holds."""
     _check_carrier(m, f)
-    try:
-        scan = _KIND_WITNESSES[kind]
-    except KeyError:
-        raise InputError(f"unknown fuzzy kind {kind!r}; expected one of {FUZZY_KINDS}") from None
-    return scan(m, f)
+    if kind not in FUZZY_KINDS:
+        raise InputError(f"unknown fuzzy kind {kind!r}; expected one of {FUZZY_KINDS}")
+    return _violation(m, f, kind)
 
 
 def is_fuzzy_subgroupoid(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _subgroupoid_witness(m, f) is None
+    return _violation(m, f, "subgroupoid") is None
 
 
 def is_fuzzy_left(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _left_witness(m, f) is None
+    return _violation(m, f, "left") is None
 
 
 def is_fuzzy_right(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _right_witness(m, f) is None
+    return _violation(m, f, "right") is None
 
 
 def is_fuzzy_generalized_bi(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _generalized_bi_witness(m, f) is None
+    return _violation(m, f, "generalized_bi") is None
 
 
 def is_fuzzy_interior(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _interior_witness(m, f) is None
+    return _violation(m, f, "interior") is None
 
 
 def is_fuzzy_quasi(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _quasi_witness(m, f) is None
+    return _violation(m, f, "quasi") is None
 
 
 def is_fuzzy_idempotent(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _idempotent_witness(m, f) is None
+    return _violation(m, f, "idempotent") is None
 
 
 def classify_fuzzy(m: GammaMagma, f: FuzzySubset) -> set[str]:
     """Every fuzzy kind f satisfies, including composition idempotence."""
     _check_carrier(m, f)
-    kinds = set()
-    if is_fuzzy_subgroupoid(m, f):
-        kinds.add("subgroupoid")
-    left = is_fuzzy_left(m, f)
-    right = is_fuzzy_right(m, f)
-    if left:
-        kinds.add("left")
-    if right:
-        kinds.add("right")
-    if left and right:
-        kinds.add("two_sided")
-    gen_bi = is_fuzzy_generalized_bi(m, f)
-    if gen_bi:
-        kinds.add("generalized_bi")
-    if gen_bi and "subgroupoid" in kinds:
-        kinds.add("bi")
-    if is_fuzzy_interior(m, f):
-        kinds.add("interior")
-    if is_fuzzy_quasi(m, f):
-        kinds.add("quasi")
-    if is_fuzzy_idempotent(m, f):
-        kinds.add("idempotent")
+    # each base kind is decided by its is_fuzzy_<kind> predicate, looked
+    # up by name at call time so a wrapped predicate sees every call
+    predicates = globals()
+    holds = {kind: predicates[f"is_fuzzy_{kind}"](m, f) for kind in (*KIND_SHAPES, "idempotent")}
+    holds.update({kind: all(holds[part] for part in parts) for kind, parts in KIND_PARTS.items()})
+    kinds = {kind for kind, ok in holds.items() if ok}
     # Two-sided forces both one-sided compositions below f, hence their
     # pointwise min too; a miss here means a product path is wrong.
     assert "two_sided" not in kinds or "quasi" in kinds

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,20 +119,37 @@ def _eq_check(clause, subsets, lhs_name, lhs, rhs_name, rhs) -> Violation | None
     )
 
 
-def _kind_check(clause, m, subsets, name, h, kind, extra_derived=()) -> Violation | None:
-    w = kind_violation(m, h, kind)
-    if w is None:
-        return None
+def _kind_failure(clause, subsets, derived, kind, w) -> Violation:
+    """Violation carrying the pointwise failure w of the named kind."""
     return Violation(
         clause=clause,
         subsets=tuple(subsets),
-        derived=tuple(extra_derived) + ((name, h),),
+        derived=tuple(derived),
         elements=w.elements,
         labels=w.labels,
         relation=w.relation,
         lhs=w.lhs,
         rhs=w.rhs,
         kind=kind,
+    )
+
+
+def _kind_check(clause, m, subsets, name, h, kind) -> Violation | None:
+    w = kind_violation(m, h, kind)
+    return None if w is None else _kind_failure(clause, subsets, ((name, h),), kind, w)
+
+
+def _family_failure(clause, subsets, derived=()) -> Violation:
+    """Violation of a family-level statement: subsets only, no pointwise data."""
+    return Violation(
+        clause=clause,
+        subsets=tuple(subsets),
+        derived=tuple(derived),
+        elements=(),
+        labels=(),
+        relation="geq",
+        lhs=Fraction(0),
+        rhs=Fraction(0),
     )
 
 
@@ -192,21 +210,16 @@ def _stmt_onesided_genbi(m, f):
 
 
 def _stmt_idemquasi_prod_bi(m, f, g):
-    v = _kind_check("f*g is bi", m, (f, g), "f*g", gamma_product(m, f, g), "bi")
-    if v is not None:
-        return v
-    return _kind_check("g*f is bi", m, (f, g), "g*f", gamma_product(m, g, f), "bi")
+    fg = _kind_check("f*g is bi", m, (f, g), "f*g", gamma_product(m, f, g), "bi")
+    return fg or _kind_check("g*f is bi", m, (f, g), "g*f", gamma_product(m, g, f), "bi")
 
 
 def _stmt_prod_onesided(m, f, g):
-    if has_fuzzy_kind(m, f, "left") and has_fuzzy_kind(m, g, "left"):
-        v = _kind_check("f*g is left", m, (f, g), "f*g", gamma_product(m, f, g), "left")
-        if v is not None:
-            return v
-    if has_fuzzy_kind(m, f, "right") and has_fuzzy_kind(m, g, "right"):
-        v = _kind_check("f*g is right", m, (f, g), "f*g", gamma_product(m, f, g), "right")
-        if v is not None:
-            return v
+    for side in ("left", "right"):
+        if has_fuzzy_kind(m, f, side) and has_fuzzy_kind(m, g, side):
+            v = _kind_check(f"f*g is {side}", m, (f, g), "f*g", gamma_product(m, f, g), side)
+            if v is not None:
+                return v
     return None
 
 
@@ -216,20 +229,8 @@ def _iff_kinds(m, f, kind_a, kind_b):
     if (wa is None) == (wb is None):
         return None
     if wa is None:
-        clause, w, missing = f"{kind_a} but not {kind_b}", wb, kind_b
-    else:
-        clause, w, missing = f"{kind_b} but not {kind_a}", wa, kind_a
-    return Violation(
-        clause=clause,
-        subsets=(f,),
-        derived=(("f", f),),
-        elements=w.elements,
-        labels=w.labels,
-        relation=w.relation,
-        lhs=w.lhs,
-        rhs=w.rhs,
-        kind=missing,
-    )
+        return _kind_failure(f"{kind_a} but not {kind_b}", (f,), (("f", f),), kind_b, wb)
+    return _kind_failure(f"{kind_b} but not {kind_a}", (f,), (("f", f),), kind_a, wa)
 
 
 def _stmt_llb(m, f):
@@ -271,16 +272,8 @@ def _stmt_bi_fixedpoint(m, f):
     if w is None:
         lhs, name = (fs_f, "(f*ones)*f") if fs_f != f else (ff, "f*f")
         return _eq_check(f"bi but {name} != f", (f,), name, lhs, "f", f)
-    return Violation(
-        clause="fixed point equations but not bi",
-        subsets=(f,),
-        derived=(("(f*ones)*f", fs_f), ("f*f", ff)),
-        elements=w.elements,
-        labels=w.labels,
-        relation=w.relation,
-        lhs=w.lhs,
-        rhs=w.rhs,
-        kind="bi",
+    return _kind_failure(
+        "fixed point equations but not bi", (f,), (("(f*ones)*f", fs_f), ("f*f", ff)), "bi", w
     )
 
 
@@ -292,25 +285,13 @@ def _stmt_interior_fixedpoint(m, f):
         return None
     if w is None:
         return _eq_check("interior but (ones*f)*ones != f", (f,), "(ones*f)*ones", sfs, "f", f)
-    return Violation(
-        clause="(ones*f)*ones == f but not interior",
-        subsets=(f,),
-        derived=(("(ones*f)*ones", sfs),),
-        elements=w.elements,
-        labels=w.labels,
-        relation=w.relation,
-        lhs=w.lhs,
-        rhs=w.rhs,
-        kind="interior",
+    return _kind_failure(
+        "(ones*f)*ones == f but not interior", (f,), (("(ones*f)*ones", sfs),), "interior", w
     )
 
 
 def _stmt_l145(m, f):
-    one = _ones(m)
-    v = _eq_check("ones*f == f", (f,), "ones*f", gamma_product(m, one, f), "f", f)
-    if v is not None:
-        return v
-    return _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, one), "f", f)
+    return _stmt_sf(m, f) or _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, _ones(m)), "f", f)
 
 
 GRAND_CONDITIONS = ("left", "right", "two_sided", "bi", "generalized_bi", "interior", "quasi")
@@ -327,18 +308,7 @@ def _stmt_grand_equiv(m, f):
     true_name = next(n for n, v in flags.items() if v)
     false_name = next(n for n, v in flags.items() if not v)
     if false_name in GRAND_CONDITIONS:
-        w = kind_violation(m, f, false_name)
-        return Violation(
-            clause=f"{true_name} but not {false_name}",
-            subsets=(f,),
-            derived=(("f", f),),
-            elements=w.elements,
-            labels=w.labels,
-            relation=w.relation,
-            lhs=w.lhs,
-            rhs=w.rhs,
-            kind=false_name,
-        )
+        return _kind_check(f"{true_name} but not {false_name}", m, (f,), "f", f, false_name)
     bad = sf if sf != f else fs
     name = "ones*f" if sf != f else "f*ones"
     return _eq_check(f"{true_name} but {name} != f", (f,), name, bad, "f", f)
@@ -387,52 +357,59 @@ def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[Fuzzy
     return [f for f in lattice.subsets(m.order) if _is_two_sided(m, f)]
 
 
+def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
+    """The two-sided family, once its triple audit is known to fit the budget."""
+    family = two_sided_family(m, lattice, budget)
+    if len(family) ** 3 > budget:
+        raise CapacityError(
+            f"family of {len(family)} ideals needs {len(family) ** 3} triple checks; budget is {budget}"
+        )
+    return family
+
+
 def _closure_violation(m, f, g, fg):
     # fg left the family, so it fails two_sided somewhere (or it is a
     # two sided ideal the family enumeration missed, which the family
     # oracle test would catch)
-    w = kind_violation(m, fg, "two_sided")
-    if w is None:
+    v = _kind_check("closure: f*g is not a two sided ideal", m, (f, g), "f*g", fg, "two_sided")
+    if v is None:
         raise AssertionError("product is two sided but missing from the family")
-    return Violation(
-        clause="closure: f*g is not a two sided ideal",
-        subsets=(f, g),
-        derived=(("f*g", fg),),
-        elements=w.elements,
-        labels=w.labels,
-        relation=w.relation,
-        lhs=w.lhs,
-        rhs=w.rhs,
-        kind="two_sided",
-    )
+    return v
 
 
-def _family_semilattice(m, family):
+def _semilattice_scan(m, family) -> tuple[dict[str, bool], Violation | None]:
+    """Which semilattice properties the family has, and the first violation."""
     one = _ones(m)
     index = set(family)
+    flags = dict.fromkeys(("closed", "commutative", "associative", "all_idempotent", "identity_holds"), True)
+    violation = None
+
+    def note(flag, v):
+        nonlocal violation
+        if v is not None:
+            flags[flag] = False
+            violation = violation or v
+
     for f in family:
         for g in family:
             fg = gamma_product(m, f, g)
             if fg not in index:
-                return _closure_violation(m, f, g, fg)
-            gf = gamma_product(m, g, f)
-            v = _eq_check("f*g == g*f", (f, g), "f*g", fg, "g*f", gf)
-            if v is not None:
-                return v
+                note("closed", _closure_violation(m, f, g, fg))
+            note("commutative", _eq_check("f*g == g*f", (f, g), "f*g", fg, "g*f", gamma_product(m, g, f)))
     for f in family:
-        v = _eq_check("f*f == f", (f,), "f*f", gamma_product(m, f, f), "f", f)
-        if v is not None:
-            return v
-        v = _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, one), "f", f)
-        if v is not None:
-            return v
+        note("all_idempotent", _eq_check("f*f == f", (f,), "f*f", gamma_product(m, f, f), "f", f))
+        note("identity_holds", _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, one), "f", f))
     for f, g, h in itertools.product(family, repeat=3):
         lhs = gamma_product(m, gamma_product(m, f, g), h)
         rhs = gamma_product(m, f, gamma_product(m, g, h))
-        v = _eq_check("(f*g)*h == f*(g*h)", (f, g, h), "(f*g)*h", lhs, "f*(g*h)", rhs)
-        if v is not None:
-            return v
-    return None
+        note("associative", _eq_check("(f*g)*h == f*(g*h)", (f, g, h), "(f*g)*h", lhs, "f*(g*h)", rhs))
+        if not flags["associative"]:
+            break
+    return flags, violation
+
+
+def _family_semilattice(m, family):
+    return _semilattice_scan(m, family)[1]
 
 
 def _is_prime_in(m, f, family):
@@ -457,27 +434,11 @@ def _family_irr_iff_prime(m, family):
             continue
         if irr is None:
             g, h = prime
-            return Violation(
-                clause="strongly irreducible but not prime",
-                subsets=(f, g, h),
-                derived=(("g*h", gamma_product(m, g, h)),),
-                elements=(),
-                labels=(),
-                relation="geq",
-                lhs=Fraction(0),
-                rhs=Fraction(0),
+            return _family_failure(
+                "strongly irreducible but not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),)
             )
         g, h = irr
-        return Violation(
-            clause="prime but not strongly irreducible",
-            subsets=(f, g, h),
-            derived=(("g^h", meet(g, h)),),
-            elements=(),
-            labels=(),
-            relation="geq",
-            lhs=Fraction(0),
-            rhs=Fraction(0),
-        )
+        return _family_failure("prime but not strongly irreducible", (f, g, h), (("g^h", meet(g, h)),))
     return None
 
 
@@ -496,27 +457,10 @@ def _family_all_prime_iff_chain(m, family):
     if (not_prime is None) == (incomparable is None):
         return None
     if not_prime is None:
-        f, g = incomparable
-        return Violation(
-            clause="every ideal prime but family is not a chain",
-            subsets=(f, g),
-            derived=(),
-            elements=(),
-            labels=(),
-            relation="geq",
-            lhs=Fraction(0),
-            rhs=Fraction(0),
-        )
+        return _family_failure("every ideal prime but family is not a chain", incomparable)
     f, g, h = not_prime
-    return Violation(
-        clause="family is a chain but some ideal is not prime",
-        subsets=(f, g, h),
-        derived=(("g*h", gamma_product(m, g, h)),),
-        elements=(),
-        labels=(),
-        relation="geq",
-        lhs=Fraction(0),
-        rhs=Fraction(0),
+    return _family_failure(
+        "family is a chain but some ideal is not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),)
     )
 
 
@@ -806,6 +750,32 @@ def _verdict(entry, status, lattice, mode, seed, requested, checked, failed=(), 
     )
 
 
+def _exhaustive_tuples(m, entry, lattice, budget):
+    """Every tuple of lattice subsets, each position drawn from its pre-filtered pool."""
+    per_subset = lattice.count(m.order)
+    if per_subset ** entry.arity > budget:
+        raise CapacityError(
+            f"exhaustive check needs {per_subset ** entry.arity} tuples; budget is {budget}"
+        )
+    pool = list(lattice.subsets(m.order))
+    filters = entry.pre_filters or (None,) * entry.arity
+    yield from itertools.product(*[[f for f in pool if flt(m, f)] if flt else pool for flt in filters])
+
+
+def _sampled_tuples(m, entry, lattice, seed, samples, budget):
+    """The seeded draws, in counter order, that pass every pre-filter."""
+    if samples * entry.arity > budget:
+        raise CapacityError(f"sampling needs {samples * entry.arity} draws; budget is {budget}")
+    filters = entry.pre_filters or (None,) * entry.arity
+    for i in range(samples):
+        fs = tuple(
+            sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
+            for j in range(entry.arity)
+        )
+        if all(flt is None or flt(m, f) for flt, f in zip(filters, fs)):
+            yield fs
+
+
 def verify(
     m: GammaMagma,
     theorem_id: str,
@@ -836,47 +806,17 @@ def verify(
         return _verdict(entry, "hypothesis_not_met", lattice, mode, seed, samples, 0, failed=failed)
 
     if entry.family:
-        family = two_sided_family(m, lattice, budget)
-        if len(family) ** 3 > budget:
-            raise CapacityError(
-                f"family of {len(family)} ideals needs {len(family) ** 3} triple checks; budget is {budget}"
-            )
+        family = _audited_family(m, lattice, budget)
         violation = entry.family_check(m, family)
         status = "holds" if violation is None else "counterexample"
         return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
 
-    checked = 0
     if mode == "exhaustive":
-        per_subset = lattice.count(m.order)
-        if per_subset ** entry.arity > budget:
-            raise CapacityError(
-                f"exhaustive check needs {per_subset ** entry.arity} tuples; budget is {budget}"
-            )
-        pool = list(lattice.subsets(m.order))
-        pools = []
-        for position in range(entry.arity):
-            flt = entry.pre_filters[position] if entry.pre_filters else None
-            pools.append([f for f in pool if flt(m, f)] if flt else pool)
-        for fs in itertools.product(*pools):
-            if entry.premise is not None and not entry.premise(m, *fs):
-                continue
-            checked += 1
-            violation = entry.check(m, *fs)
-            if violation is not None:
-                return _verdict(entry, "counterexample", lattice, mode, seed, samples, checked, violation=violation)
-        return _verdict(entry, "holds", lattice, mode, seed, samples, checked)
-
-    if samples * entry.arity > budget:
-        raise CapacityError(f"sampling needs {samples * entry.arity} draws; budget is {budget}")
-    for i in range(samples):
-        fs = tuple(
-            sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
-            for j in range(entry.arity)
-        )
-        if entry.pre_filters and not all(
-            flt is None or flt(m, f) for flt, f in zip(entry.pre_filters, fs)
-        ):
-            continue
+        tuples = _exhaustive_tuples(m, entry, lattice, budget)
+    else:
+        tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget)
+    checked = 0
+    for fs in tuples:
         if entry.premise is not None and not entry.premise(m, *fs):
             continue
         checked += 1
@@ -897,6 +837,13 @@ def _verify_task(args):
         )
 
 
+def _worker_count(jobs: int) -> int:
+    """Worker processes for verify_all: at most one per id and one per CPU."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, len(REGISTRY_ORDER), os.cpu_count() or 1)
+
+
 def verify_all(
     m: GammaMagma,
     lattice: Lattice,
@@ -907,11 +854,12 @@ def verify_all(
     jobs: int = 1,
 ) -> dict[str, Verdict]:
     """Run every registered id; capacity errors are recorded, not raised."""
+    workers = _worker_count(jobs)
     tasks = [(m, tid, lattice, mode, seed, samples, budget) for tid in REGISTRY_ORDER]
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_task, tasks))
     else:
         results = [_verify_task(t) for t in tasks]
@@ -961,55 +909,6 @@ def semilattice_report(m: GammaMagma, lattice: Lattice, budget: int = DEFAULT_TU
     missing = [h for h in ("gamma_ag", "ag_star_star", "intra_regular") if not hyps[h]]
     if missing:
         raise InputError(f"structure fails required hypotheses: {', '.join(missing)}")
-    family = two_sided_family(m, lattice, budget)
-    if len(family) ** 3 > budget:
-        raise CapacityError(
-            f"family of {len(family)} ideals needs {len(family) ** 3} triple checks; budget is {budget}"
-        )
-    one = _ones(m)
-    index = set(family)
-    closed = commutative = associative = all_idempotent = identity_holds = True
-    violation = None
-
-    def note(v):
-        nonlocal violation
-        if violation is None:
-            violation = v
-
-    for f in family:
-        for g in family:
-            fg = gamma_product(m, f, g)
-            if fg not in index:
-                closed = False
-                note(_closure_violation(m, f, g, fg))
-            v = _eq_check("f*g == g*f", (f, g), "f*g", fg, "g*f", gamma_product(m, g, f))
-            if v is not None:
-                commutative = False
-                note(v)
-    for f in family:
-        v = _eq_check("f*f == f", (f,), "f*f", gamma_product(m, f, f), "f", f)
-        if v is not None:
-            all_idempotent = False
-            note(v)
-        v = _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, one), "f", f)
-        if v is not None:
-            identity_holds = False
-            note(v)
-    for f, g, h in itertools.product(family, repeat=3):
-        lhs = gamma_product(m, gamma_product(m, f, g), h)
-        rhs = gamma_product(m, f, gamma_product(m, g, h))
-        v = _eq_check("(f*g)*h == f*(g*h)", (f, g, h), "(f*g)*h", lhs, "f*(g*h)", rhs)
-        if v is not None:
-            associative = False
-            note(v)
-            break
-    return SemilatticeReport(
-        lattice_den=lattice.den,
-        ideal_count=len(family),
-        closed=closed,
-        commutative=commutative,
-        associative=associative,
-        all_idempotent=all_idempotent,
-        identity_holds=identity_holds,
-        violation=violation,
-    )
+    family = _audited_family(m, lattice, budget)
+    flags, violation = _semilattice_scan(m, family)
+    return SemilatticeReport(lattice.den, len(family), violation=violation, **flags)

@@ -178,6 +178,15 @@ def test_fuzzy_bad_vector(capsys, tmp_path):
     notjson.write_text("{oops")
     code, _, err = run(capsys, "fuzzy", "classify", "ir5", str(notjson))
     assert code == 2 and "JSON" in err
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"den": 1}'.encode("utf-16-le"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (utf16, deep):
+        code, out, err = run(capsys, "fuzzy", "classify", "ir5", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +275,12 @@ def test_verify_all_jobs_flag_same_output(capsys, m2_file):
         capsys, "verify", str(m2_file), "--theorem", "all", "--jobs", "2"
     )
     assert serial == parallel
+
+
+def test_verify_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "ir5", "--theorem", "all", "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs" in err
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ def test_rejects_empty_gamma():
 def test_rejects_bad_order():
     with pytest.raises(InputError):
         GammaMagma(order=0, gamma=("a",), tables=((),))
+    # bool is an int subclass; True must not pass for order 1
+    with pytest.raises(InputError):
+        GammaMagma(order=True, gamma=("a",), tables=(((0,),),))
+    with pytest.raises(InputError):
+        structure_from_dict({"order": True, "gamma": ["a"], "tables": {"a": [[0]]}})
 
 
 def test_apply_and_names(ir5):
@@ -258,6 +263,16 @@ def test_load_structure_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_structure(bad)
+    # UTF-16 with a byte order mark is not UTF-8 text
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"order": 1}'.encode("utf-16-le"))
+    with pytest.raises(InputError):
+        load_structure(utf16)
+    # nesting deeper than the JSON parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(InputError):
+        load_structure(deep)
 
 
 def test_canonical_json_is_stable():

@@ -225,6 +225,23 @@ def test_verify_all_parallel_matches_serial(ag9, ag9_battery):
     assert parallel == ag9_battery
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    # checked as a function: no worker process is started here
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
+    assert theorems._worker_count(1) == 1
+    assert theorems._worker_count(5) == 5
+    assert theorems._worker_count(10**9) == 8
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    assert theorems._worker_count(10**9) == len(REGISTRY_ORDER)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert theorems._worker_count(10**9) == 1
+    for jobs in (0, -1):
+        with pytest.raises(InputError):
+            theorems._worker_count(jobs)
+        with pytest.raises(InputError):
+            verify_all(GammaMagma(order=1, gamma=("a",), tables=(((0,),),)), Lattice(1), jobs=jobs)
+
+
 # ---------------------------------------------------------------------------
 # counterexample reporting and replay
 
