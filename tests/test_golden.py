@@ -1,15 +1,16 @@
-"""Exact payload pins for kind witnesses and statement violations.
+"""Exact payload pins for law witnesses, kind witnesses and statement violations.
 
 Other tests check that a reported witness replays; these check that it is
 the same witness, field for field. Each test hashes canonical JSON of a
-fixed, exhaustively enumerated set of outputs.
+fixed set of outputs, exhaustively enumerated or drawn with a fixed seed.
 """
 
 import hashlib
 import itertools
+import random
 
 from gammag import theorems
-from gammag.core import GammaMagma, canonical_json
+from gammag.core import GammaMagma, canonical_json, check_laws
 from gammag.fuzzy import FUZZY_KINDS, Lattice, kind_violation
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, two_sided_family
 
@@ -22,6 +23,29 @@ def _two_element_tables():
     """The 16 one-label multiplication tables on {0, 1}."""
     for flat in itertools.product(range(2), repeat=4):
         yield GammaMagma(order=2, gamma=("a",), tables=((flat[0:2], flat[2:4]),))
+
+
+def _random_tables(count, seed):
+    """Seeded random structures of order 1-4 with 1-3 labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        tables = tuple(
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            for _ in range(k)
+        )
+        yield GammaMagma(order=n, gamma=tuple("abc"[:k]), tables=tables)
+
+
+def test_law_witness_payloads_pinned(ir5, ag9):
+    structures = list(_two_element_tables())
+    for flat in itertools.product(range(2), repeat=8):
+        tables = ((flat[0:2], flat[2:4]), (flat[4:6], flat[6:8]))
+        structures.append(GammaMagma(order=2, gamma=("a", "b"), tables=tables))
+    structures += list(_random_tables(500, seed=20100))
+    structures += [ir5, ag9]
+    rows = [check_laws(m).to_dict(m) for m in structures]
+    assert _digest(rows) == "47e27b324f4f5a0305c9915a8d041185279c2b71bc791a5181eaae12918dad06"
 
 
 def _witness_row(w):
