@@ -161,7 +161,10 @@ def cmd_enumerate(args) -> int:
     tokens = [t for t in args.laws.split(",") if t]
     intra = args.intra_regular or "intra_regular" in tokens
     laws = tuple(t for t in tokens if t != "intra_regular")
-    budget = int(os.environ.get("AGG_BUDGET", DEFAULT_NODE_BUDGET))
+    try:
+        budget = int(os.environ.get("AGG_BUDGET", DEFAULT_NODE_BUDGET))
+    except ValueError:
+        raise InputError(f"AGG_BUDGET must be an integer, got {os.environ['AGG_BUDGET']!r}") from None
     spec = SearchSpec(
         order=args.order,
         gamma_count=args.gamma,

@@ -22,19 +22,25 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds its configured budget or cap."""
 
 
-LAW_NAMES = (
-    "left_invertive",
-    "medial",
-    "ag_star_star",
-    "paramedial",
-    "commutative",
-    "associative",
-    "band",
-    "has_left_identity",
-)
+# One row per equational law: its variables, its number of label slots,
+# and its two sides. A term is a variable or (label_slot, left, right);
+# slot i is the i-th label of a witness. Adding a law is adding a row.
+LAW_TERMS = {
+    "left_invertive": ("xyz", 2, ((1, (0, "x", "y"), "z"), (1, (0, "z", "y"), "x"))),
+    "medial": ("wxyz", 3, ((1, (0, "w", "x"), (2, "y", "z")), (1, (0, "w", "y"), (2, "x", "z")))),
+    "ag_star_star": ("xyz", 2, ((0, "x", (1, "y", "z")), (0, "y", (1, "x", "z")))),
+    "paramedial": ("wxyz", 3, ((1, (0, "w", "x"), (2, "y", "z")), (1, (0, "z", "y"), (2, "x", "w")))),
+    "commutative": ("xy", 1, ((0, "x", "y"), (0, "y", "x"))),
+    "associative": ("xyz", 2, ((1, (0, "x", "y"), "z"), (0, "x", (1, "y", "z")))),
+    "band": ("x", 1, ((0, "x", "x"), "x")),
+}
+
+LAW_NAMES = (*LAW_TERMS, "has_left_identity")
 
 
 def _as_table(rows, order):
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise InputError(f"table must be {order}x{order}")
     table = tuple(tuple(row) for row in rows)
     if len(table) != order or any(len(row) != order for row in table):
         raise InputError(f"table must be {order}x{order}")
@@ -202,115 +208,53 @@ class LawReport:
         }
 
 
-def _scan_left_invertive(m: GammaMagma) -> LawWitness | None:
-    t = m.tables
-    rng = range(m.order)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                for ai, ta in enumerate(t):
-                    xy = ta[x][y]
-                    zy = ta[z][y]
-                    for bi, tb in enumerate(t):
-                        lhs = tb[xy][z]
-                        rhs = tb[zy][x]
-                        if lhs != rhs:
-                            return LawWitness("left_invertive", (x, y, z), (m.gamma[ai], m.gamma[bi]), lhs, rhs)
-    return None
+def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
+    """First-failure scan for one LAW_TERMS row, as generated nested loops.
+
+    Loops run over elements in variable order, then over labels in slot
+    order, so the first failure found is the lexicographically least
+    witness. Each product is computed once, at the shallowest loop that
+    binds all of its elements and labels.
+    """
+    body = [[] for _ in range(len(variables) + slots)]
+    local = {}
+
+    def value(term):
+        # (name holding the term's value, loop depth where it is known)
+        if isinstance(term, str):
+            i = variables.index(term)
+            return f"e{i}", i
+        if term not in local:
+            g, left, right = term
+            (a, da), (b, db) = value(left), value(right)
+            v, row, depth = len(local), f"T{g}[{a}]", max(len(variables) + g, da)
+            if db > depth:  # the row is known before the column
+                body[depth].append(f"r{v} = {row}")
+                row, depth = f"r{v}", db
+            body[depth].append(f"v{v} = {row}[{b}]")
+            local[term] = f"v{v}", depth
+        return local[term]
+
+    lhs, rhs = (value(side)[0] for side in sides)
+    loops = [f"for e{i} in rng:" for i in range(len(variables))]
+    loops += [f"for l{j}, T{j} in enumerate(t):" for j in range(slots)]
+    elements = "".join(f"e{i}, " for i in range(len(variables)))
+    labels = "".join(f"m.gamma[l{j}], " for j in range(slots))
+    src = ["def scan(m):", " t = m.tables", " rng = range(m.order)"]
+    for depth, loop in enumerate(loops):
+        src += [" " * (depth + 1) + loop] + [" " * (depth + 2) + line for line in body[depth]]
+    pad = " " * (len(loops) + 1)
+    src += [
+        f"{pad}if {lhs} != {rhs}:",
+        f"{pad} return LawWitness({law!r}, ({elements}), ({labels}), {lhs}, {rhs})",
+        " return None",
+    ]
+    namespace = {"LawWitness": LawWitness}
+    exec(compile("\n".join(src), f"<{law} scan>", "exec"), namespace)
+    return namespace["scan"]
 
 
-def _scan_medial(m: GammaMagma) -> LawWitness | None:
-    t = m.tables
-    rng = range(m.order)
-    for w in rng:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    for ai, ta in enumerate(t):
-                        for bi, tb in enumerate(t):
-                            for ci, tc in enumerate(t):
-                                lhs = tb[ta[w][x]][tc[y][z]]
-                                rhs = tb[ta[w][y]][tc[x][z]]
-                                if lhs != rhs:
-                                    return LawWitness(
-                                        "medial",
-                                        (w, x, y, z),
-                                        (m.gamma[ai], m.gamma[bi], m.gamma[ci]),
-                                        lhs,
-                                        rhs,
-                                    )
-    return None
-
-
-def _scan_ag_star_star(m: GammaMagma) -> LawWitness | None:
-    t = m.tables
-    rng = range(m.order)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                for ai, ta in enumerate(t):
-                    for bi, tb in enumerate(t):
-                        lhs = ta[x][tb[y][z]]
-                        rhs = ta[y][tb[x][z]]
-                        if lhs != rhs:
-                            return LawWitness("ag_star_star", (x, y, z), (m.gamma[ai], m.gamma[bi]), lhs, rhs)
-    return None
-
-
-def _scan_paramedial(m: GammaMagma) -> LawWitness | None:
-    t = m.tables
-    rng = range(m.order)
-    for w in rng:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    for ai, ta in enumerate(t):
-                        for bi, tb in enumerate(t):
-                            for ci, tc in enumerate(t):
-                                lhs = tb[ta[w][x]][tc[y][z]]
-                                rhs = tb[ta[z][y]][tc[x][w]]
-                                if lhs != rhs:
-                                    return LawWitness(
-                                        "paramedial",
-                                        (w, x, y, z),
-                                        (m.gamma[ai], m.gamma[bi], m.gamma[ci]),
-                                        lhs,
-                                        rhs,
-                                    )
-    return None
-
-
-def _scan_commutative(m: GammaMagma) -> LawWitness | None:
-    rng = range(m.order)
-    for x in rng:
-        for y in rng:
-            for gi, table in enumerate(m.tables):
-                if table[x][y] != table[y][x]:
-                    return LawWitness("commutative", (x, y), (m.gamma[gi],), table[x][y], table[y][x])
-    return None
-
-
-def _scan_associative(m: GammaMagma) -> LawWitness | None:
-    t = m.tables
-    rng = range(m.order)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                for ai, ta in enumerate(t):
-                    for bi, tb in enumerate(t):
-                        lhs = tb[ta[x][y]][z]
-                        rhs = ta[x][tb[y][z]]
-                        if lhs != rhs:
-                            return LawWitness("associative", (x, y, z), (m.gamma[ai], m.gamma[bi]), lhs, rhs)
-    return None
-
-
-def _scan_band(m: GammaMagma) -> LawWitness | None:
-    for a in range(m.order):
-        for gi, table in enumerate(m.tables):
-            if table[a][a] != a:
-                return LawWitness("band", (a,), (m.gamma[gi],), table[a][a], a)
-    return None
+_SCANS = {law: _compile_scan(law, *row) for law, row in LAW_TERMS.items()}
 
 
 def find_left_identity(m: GammaMagma) -> int | None:
@@ -321,51 +265,30 @@ def find_left_identity(m: GammaMagma) -> int | None:
     return None
 
 
-_EQUATIONAL_SCANS = {
-    "left_invertive": _scan_left_invertive,
-    "medial": _scan_medial,
-    "ag_star_star": _scan_ag_star_star,
-    "paramedial": _scan_paramedial,
-    "commutative": _scan_commutative,
-    "associative": _scan_associative,
-    "band": _scan_band,
-}
-
-
 def check_laws(m: GammaMagma) -> LawReport:
     """Exhaustively decide every law, with first-failure witnesses."""
-    witnesses = {}
-    flags = {}
-    for law, scan in _EQUATIONAL_SCANS.items():
-        w = scan(m)
-        flags[law] = w is None
-        if w is not None:
-            witnesses[law] = w
+    witnesses = {law: w for law, scan in _SCANS.items() if (w := scan(m)) is not None}
     e = find_left_identity(m)
     report = LawReport(
-        left_invertive=flags["left_invertive"],
-        medial=flags["medial"],
-        ag_star_star=flags["ag_star_star"],
-        paramedial=flags["paramedial"],
-        commutative=flags["commutative"],
-        associative=flags["associative"],
-        band=flags["band"],
+        **{law: law not in witnesses for law in _SCANS},
         has_left_identity=e is not None,
         witnesses=witnesses,
         left_identity=e,
     )
     # The invertive law forces mediality, and together with the starred
     # law it forces paramediality; a violation here means a scan is wrong.
-    assert report.medial or not report.left_invertive
-    assert report.paramedial or not (report.left_invertive and report.ag_star_star)
+    if report.left_invertive and not report.medial:
+        raise AssertionError("left invertive but not medial")
+    if report.left_invertive and report.ag_star_star and not report.paramedial:
+        raise AssertionError("left invertive and AG** but not paramedial")
     return report
 
 
 def check_single_law(m: GammaMagma, law: str) -> LawWitness | None:
     """Scan one equational law; None means it holds."""
-    if law not in _EQUATIONAL_SCANS:
+    if law not in _SCANS:
         raise InputError(f"unknown equational law {law!r}")
-    return _EQUATIONAL_SCANS[law](m)
+    return _SCANS[law](m)
 
 
 TERM_PATTERNS = ("xy", "(xx)y", "x(yy)")
@@ -427,12 +350,14 @@ def structure_from_dict(d: dict) -> GammaMagma:
         tables = d["tables"]
     except KeyError as exc:
         raise InputError(f"structure missing key {exc.args[0]!r}") from None
-    if not isinstance(gamma, list):
+    if not isinstance(gamma, list) or not all(isinstance(g, str) for g in gamma):
         raise InputError("gamma must be a list of label strings")
     if not isinstance(tables, dict):
         raise InputError("tables must map each gamma label to a square table")
     if set(tables) != set(gamma):
         raise InputError("tables keys must equal the gamma label list")
+    if not isinstance(d.get("labels", []), list):
+        raise InputError("labels must be a list of element names")
     return GammaMagma(
         order=order,
         gamma=tuple(gamma),

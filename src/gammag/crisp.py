@@ -172,7 +172,8 @@ def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
     kinds = {kind for kind in IDEAL_KINDS if _has_kind(m, _clauses(kind), products)}
     # Both one-sided products land inside a two-sided ideal, so its
     # intersection does too; a miss here means a product scan is wrong.
-    assert "two_sided" not in kinds or "quasi" in kinds
+    if "two_sided" in kinds and "quasi" not in kinds:
+        raise AssertionError("two-sided ideal that is not a quasi-ideal")
     return kinds
 
 

@@ -19,6 +19,7 @@ from .core import (
     GammaMagma,
     InputError,
     LAW_NAMES,
+    LAW_TERMS,
     check_single_law,
     find_left_identity,
 )
@@ -68,64 +69,60 @@ class SearchSpec:
 
 
 def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]:
-    """Static instance buckets: buckets[c] holds the instances whose last
-    statically-known cell is c (their value-dependent cells are chased
-    dynamically via the pending lists)."""
+    """Static instance buckets for the equational laws among `laws`.
+
+    Every element tuple and label tuple is substituted into both sides of
+    the law's LAW_TERMS row. Cells total + e hold the constant e, so a
+    variable is a cell too, and each side becomes a triple (base, p, q)
+    whose value sits in cell base + t[p]*n + t[q]. A variable, or a
+    product of two variables, is one cell c known here; it is written
+    (c, Z, Z) with Z = total, the cell holding 0. Any other side is a
+    product whose operands are variables or products of two variables.
+
+    buckets[c] holds the instances whose last statically known table cell
+    is c; cells that depend on values are chased dynamically via the
+    pending lists. An instance whose two sides are the same triple always
+    holds, and one whose side swap is already in is the same equation;
+    both are dropped. The side swap maps left invertive (x, y, z) to
+    (z, y, x), AG** (x, y, z) and commutative (x, y) to (y, x, ...),
+    medial (w, x, y, z) to (w, y, x, z) and paramedial (w, x, y, z) to
+    (z, y, x, w), labels fixed; associative and band have no swapped
+    pairs. So this keeps the equations that the filters x < z (left
+    invertive), x < y (AG**, medial, commutative) and (w, x, y, z, a, g)
+    < (z, y, x, w, g, a) (paramedial) keep. The last one swaps the labels
+    a and g too, but it decides on (w, x, y, z) unless w = z and x = y,
+    where both sides are equal. Only instances that always hold differ,
+    so the search prunes exactly the same nodes."""
     n2 = n * n
-    buckets: list[list[tuple]] = [[] for _ in range(k * n2)]
+    total = k * n2
+    buckets: list[list[tuple]] = [[] for _ in range(total)]
+    seen = set()
 
-    def cell(g, x, y):
-        return g * n2 + x * n + y
+    def cell(term, env, labels):
+        # a variable, or a product of two variables (else a KeyError)
+        if isinstance(term, str):
+            return total + env[term]
+        g, left, right = term
+        return labels[g] * n2 + env[left] * n + env[right]
 
-    def put(inner_max, inst):
-        buckets[inner_max].append(inst)
+    def side(term, env, labels):
+        if isinstance(term, str) or all(isinstance(op, str) for op in term[1:]):
+            return (cell(term, env, labels), total, total)
+        g, left, right = term
+        return (labels[g] * n2, cell(left, env, labels), cell(right, env, labels))
 
-    labels = range(k)
-    if "left_invertive" in laws:
-        # (x a y) b z = (z a y) b x; mirror x<->z is the same equation
-        for a, b, x, z, y in itertools.product(labels, labels, range(n), range(n), range(n)):
-            if x >= z:
-                continue
-            i1, i2 = cell(a, x, y), cell(a, z, y)
-            put(max(i1, i2), ("L", i1, i2, b * n2, x, z))
-    if "ag_star_star" in laws:
-        # x a (y b z) = y a (x b z); mirror x<->y is the same equation
-        for a, b, x, y, z in itertools.product(labels, labels, range(n), range(n), range(n)):
-            if x >= y:
-                continue
-            i1, i2 = cell(b, y, z), cell(b, x, z)
-            put(max(i1, i2), ("S", i1, i2, a * n2, x, y))
-    if "associative" in laws:
-        for a, b, x, y, z in itertools.product(labels, labels, range(n), range(n), range(n)):
-            i1, i2 = cell(a, x, y), cell(b, y, z)
-            put(max(i1, i2), ("A", i1, i2, b * n2, z, a * n2, x))
-    if "medial" in laws:
-        # (w a x) b (y g z) = (w a y) b (x g z); x<->y mirror
-        for a, b, g in itertools.product(labels, repeat=3):
-            for w, x, y, z in itertools.product(range(n), repeat=4):
-                if x >= y:
+    for law, (variables, slots, (lhs, rhs)) in LAW_TERMS.items():
+        if law not in laws:
+            continue
+        for elements in itertools.product(range(n), repeat=len(variables)):
+            env = dict(zip(variables, elements))
+            for labels in itertools.product(range(k), repeat=slots):
+                s1, s2 = side(lhs, env, labels), side(rhs, env, labels)
+                if s1 == s2 or (s2, s1) in seen:
                     continue
-                i1, i2 = cell(a, w, x), cell(g, y, z)
-                i3, i4 = cell(a, w, y), cell(g, x, z)
-                put(max(i1, i2, i3, i4), ("M", i1, i2, i3, i4, b * n2))
-    if "paramedial" in laws:
-        # (w a x) b (y g z) = (z a y) b (x g w); (w,x,y,z,a,g) mirrors to (z,y,x,w,g,a)
-        for a, b, g in itertools.product(labels, repeat=3):
-            for w, x, y, z in itertools.product(range(n), repeat=4):
-                if (w, x, y, z, a, g) >= (z, y, x, w, g, a):
-                    continue
-                i1, i2 = cell(a, w, x), cell(g, y, z)
-                i3, i4 = cell(a, z, y), cell(g, x, w)
-                put(max(i1, i2, i3, i4), ("M", i1, i2, i3, i4, b * n2))
-    if "commutative" in laws:
-        for g, x, y in itertools.product(labels, range(n), range(n)):
-            if x >= y:
-                continue
-            i1, i2 = cell(g, x, y), cell(g, y, x)
-            put(max(i1, i2), ("C", i1, i2))
-    if "band" in laws:
-        for g, x in itertools.product(labels, range(n)):
-            put(cell(g, x, x), ("B", cell(g, x, x), x))
+                seen.add((s1, s2))
+                static = [c for b, p, q in (s1, s2) for c in ((b,) if p == q == total else (p, q))]
+                buckets[max(c for c in static if c < total)].append(s1 + s2)
     return buckets
 
 
@@ -175,7 +172,8 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     n, k = spec.order, spec.gamma_count
     n2 = n * n
     total = k * n2
-    t = [-1] * total
+    # cells past the table hold the constants 0..n-1 (see _build_instances)
+    t = [-1] * total + list(range(n))
     buckets = _build_instances(n, k, spec.laws)
     pending: list[list[tuple]] = [[] for _ in range(total)]
     group = _iso_group(n, k, spec.iso_mode) if canonical else []
@@ -184,27 +182,9 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     emitted = 0
 
     def process(inst, trail):
-        tag = inst[0]
-        if tag == "L":
-            _, i1, i2, bb, x, z = inst
-            o1 = bb + t[i1] * n + z
-            o2 = bb + t[i2] * n + x
-        elif tag == "S":
-            _, i1, i2, ab, x, y = inst
-            o1 = ab + x * n + t[i1]
-            o2 = ab + y * n + t[i2]
-        elif tag == "A":
-            _, i1, i2, bb, z, ab, x = inst
-            o1 = bb + t[i1] * n + z
-            o2 = ab + x * n + t[i2]
-        elif tag == "M":
-            _, i1, i2, i3, i4, bb = inst
-            o1 = bb + t[i1] * n + t[i2]
-            o2 = bb + t[i3] * n + t[i4]
-        elif tag == "C":
-            return t[inst[1]] == t[inst[2]]
-        else:
-            return t[inst[1]] == inst[2]
+        b1, p1, q1, b2, p2, q2 = inst
+        o1 = b1 + t[p1] * n + t[q1]
+        o2 = b2 + t[p2] * n + t[q2]
         a, b = t[o1], t[o2]
         if a >= 0 and b >= 0:
             return a == b

@@ -281,7 +281,8 @@ def classify_fuzzy(m: GammaMagma, f: FuzzySubset) -> set[str]:
     kinds = {kind for kind, ok in holds.items() if ok}
     # Two-sided forces both one-sided compositions below f, hence their
     # pointwise min too; a miss here means a product path is wrong.
-    assert "two_sided" not in kinds or "quasi" in kinds
+    if "two_sided" in kinds and "quasi" not in kinds:
+        raise AssertionError("two-sided fuzzy ideal that is not a fuzzy quasi-ideal")
     return kinds
 
 

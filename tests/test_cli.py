@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammag.cli import main
 from gammag.core import canonical_json, load_structure
@@ -75,6 +80,39 @@ def test_check_output_is_byte_identical(capsys):
 def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "no/such/file.json")
     assert code == 2 and out == "" and "no such structure" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+_LABEL = st.sampled_from(["a", "b"])
+_TABLE = _JSON_VALUES | st.lists(st.lists(st.integers(-1, 3) | _JSON_VALUES, max_size=3), max_size=3)
+_STRUCTURE_LIKE = st.fixed_dictionaries(
+    {
+        "order": st.integers(0, 3) | _JSON_VALUES,
+        "gamma": st.lists(_LABEL | _JSON_VALUES, max_size=3),
+        "tables": st.dictionaries(_LABEL | st.text(max_size=2), _TABLE, max_size=3),
+    },
+    optional={"labels": _JSON_VALUES},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        (_JSON_VALUES | _STRUCTURE_LIKE).map(lambda v: json.dumps(v).encode()),
+        st.binary(max_size=64),
+    )
+)
+def test_check_malformed_file_exits_0_or_2(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "structure.json"
+        path.write_bytes(payload)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", str(path)])
+    assert code in (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +374,10 @@ def test_enumerate_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("AGG_BUDGET", "50")
     code, out, err = run(capsys, "enumerate", "--order", "3", "--count")
     assert code == 3 and out == "" and "node budget 50" in err
+    # a float spelling is bad input, named in the message
+    monkeypatch.setenv("AGG_BUDGET", "6e7")
+    code, out, err = run(capsys, "enumerate", "--order", "2", "--count")
+    assert code == 2 and out == "" and "AGG_BUDGET" in err
 
 
 def test_enumerate_rejects_bad_law(capsys):

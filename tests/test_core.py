@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gammag import core
 from gammag.core import (
     GammaMagma,
     InputError,
     LAW_NAMES,
+    LawWitness,
     TERM_PATTERNS,
     canonical_json,
     check_laws,
@@ -152,13 +154,24 @@ def test_single_law_matches_report(ir5, ag9):
 
 
 def test_law_implications_on_enumerated_models(li_models_small):
-    # check_laws itself asserts these; run it over the whole pool
+    # check_laws itself checks these; run it over the whole pool
     for m in li_models_small:
         rep = check_laws(m)
         assert rep.left_invertive
         assert rep.medial
         if rep.ag_star_star:
             assert rep.paramedial
+
+
+def test_broken_law_scan_is_caught(ir5, monkeypatch):
+    # ir5 is left invertive, so a medial scan that reports a failure
+    # contradicts the implication check_laws guards (also under python -O)
+    def broken(m):
+        return LawWitness("medial", (0, 0, 0, 0), (m.gamma[0],) * 3, 0, 1)
+
+    monkeypatch.setitem(core._SCANS, "medial", broken)
+    with pytest.raises(AssertionError):
+        check_laws(ir5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,8 +187,9 @@ def test_law_implications_on_random_tables(data):
         for g in range(k)
     )
     m = GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tables)
-    rep = check_laws(m)  # internal asserts: invertive -> medial etc.
-    assert rep.holds("left_invertive") == oracles.law_left_invertive(tuple(flat), n, k)
+    rep = check_laws(m)  # internal checks: invertive -> medial etc.
+    for law, pred in oracles.LAW_PREDICATES.items():
+        assert rep.holds(law) == pred(tuple(flat), n, k), law
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +287,18 @@ def test_load_structure_errors(tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(InputError):
         load_structure(deep)
+    # wrongly typed labels, gamma entries, tables and rows
+    good = {"order": 2, "gamma": ["a"], "tables": {"a": [[0, 0], [0, 0]]}}
+    for bad_part in (
+        {"labels": 5},
+        {"gamma": [["a"]]},
+        {"tables": {"a": 7}},
+        {"tables": {"a": [1, 2]}},
+    ):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({**good, **bad_part}))
+        with pytest.raises(InputError):
+            load_structure(typed)
 
 
 def test_canonical_json_is_stable():

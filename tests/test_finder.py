@@ -48,13 +48,19 @@ def test_spec_validation():
 
 
 def test_single_label_counts_match_naive():
+    # every law alone, and two labels at order 2 where the modes differ
+    for law, pred in oracles.LAW_PREDICATES.items():
+        for n, k in ((1, 1), (2, 1), (3, 1), (2, 2)):
+            for mode in ISO_MODES:
+                _, classes = oracles.naive_model_counts(
+                    n, k, (pred,), with_gamma=(mode == "elements_and_gamma")
+                )
+                got = models(order=n, gamma_count=k, laws=(law,), iso_mode=mode)
+                assert len(got) == classes, (law, n, k, mode)
     for n in (1, 2, 3):
         raw, classes = oracles.naive_model_counts(
             n, 1, (oracles.law_left_invertive,), with_gamma=False
         )
-        for mode in ISO_MODES:
-            got = models(order=n, iso_mode=mode)
-            assert len(got) == classes, (n, mode)
         assert (n, raw, classes) in {(1, 1, 1), (2, 6, 3), (3, 105, 20)}
 
 
