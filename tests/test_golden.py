@@ -9,10 +9,11 @@ import hashlib
 import itertools
 import random
 
+import oracles
 from gammag import theorems
 from gammag.core import GammaMagma, canonical_json, check_laws
 from gammag.fuzzy import FUZZY_KINDS, Lattice, kind_violation
-from gammag.theorems import DEFAULT_TUPLE_BUDGET, two_sided_family
+from gammag.theorems import DEFAULT_TUPLE_BUDGET, REGISTRY, two_sided_family
 
 
 def _digest(rows) -> str:
@@ -78,25 +79,14 @@ def test_statement_violation_payloads_pinned():
     # the same checker calls as test_direct_checker_violations_replay
     lat = Lattice(1)
     single = [
-        theorems._stmt_sf,
-        theorems._stmt_qqq,
-        theorems._stmt_llb,
-        theorems._stmt_left_idem,
-        theorems._stmt_inte,
-        theorems._stmt_q2,
-        theorems._stmt_gener,
-        theorems._stmt_bii,
-        theorems._stmt_bi_fixedpoint,
-        theorems._stmt_interior_fixedpoint,
-        theorems._stmt_l145,
-        theorems._stmt_grand_equiv,
+        REGISTRY[tid].check
+        for tid in (
+            "sf", "qqq", "llb", "left_idem", "inte", "q2", "gener", "bii",
+            "bi_fixedpoint", "interior_fixedpoint", "l145", "grand_equiv",
+        )
     ]
-    pairs = [
-        theorems._stmt_rl_cap_quasi,
-        theorems._stmt_cap_eq_prod,
-        theorems._stmt_idemquasi_prod_bi,
-    ]
-    triples = [theorems._stmt_trm_i, theorems._stmt_agss_i]
+    pairs = [REGISTRY[tid].check for tid in ("rl_cap_quasi", "cap_eq_prod", "idemquasi_prod_bi")]
+    triples = [REGISTRY[tid].check for tid in ("trm_i", "agss_i")]
     rows = []
     for m in _two_element_tables():
         fs = list(lat.subsets(2))
@@ -106,6 +96,35 @@ def test_statement_violation_payloads_pinned():
             found += [check(m, f, g, g) for check in triples]
         rows.append([None if v is None else v.to_dict() for v in found])
     assert _digest(rows) == "7dba222ec268fde58a3dd5485f57590c56a392abcdbd49d40c5950053a17ce2c"
+
+
+def test_remaining_statement_violation_payloads_pinned():
+    # the ids the test above leaves out, on the 2-element one-label tables
+    # (den 2; den 1 for the four-place laws) and on seeded 3-element ones,
+    # where products of one-sided subsets can fail; every violation replays
+    single = [
+        REGISTRY[tid].check
+        for tid in ("sf_factorizable", "idem_quasi_bi", "onesided_quasi", "onesided_genbi")
+    ]
+    pair = REGISTRY["prod_onesided"].check
+    quads = [REGISTRY[tid].check for tid in ("trm_ii", "agss_ii")]
+    rng = random.Random(20110)
+    order3 = [
+        GammaMagma(order=3, gamma=("a",), tables=(tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)),))
+        for _ in range(200)
+    ]
+    rows = []
+    for m in [*_two_element_tables(), *order3]:
+        fs = list(Lattice(2 if m.order == 2 else 1).subsets(m.order))
+        found = [check(m, f) for f in fs for check in single]
+        found += [pair(m, f, g) for f, g in itertools.product(fs, repeat=2)]
+        if m.order == 2:
+            quadruples = itertools.product(Lattice(1).subsets(2), repeat=4)
+            found += [check(m, *t) for t in quadruples for check in quads]
+        for v in found:
+            assert v is None or oracles.replay_violation(m, v), (m.tables, v)
+        rows.append([None if v is None else v.to_dict() for v in found])
+    assert _digest(rows) == "bd7b556f6975ceea02f508549127ca360ce01bad92223eb694995c2656b736f1"
 
 
 def test_family_violation_payloads_pinned():

@@ -268,25 +268,25 @@ def test_direct_checker_violations_replay():
     # statements routinely fail, and replay every reported counterexample
     lat = Lattice(1)
     single = [
-        theorems._stmt_sf,
-        theorems._stmt_qqq,
-        theorems._stmt_llb,
-        theorems._stmt_left_idem,
-        theorems._stmt_inte,
-        theorems._stmt_q2,
-        theorems._stmt_gener,
-        theorems._stmt_bii,
-        theorems._stmt_bi_fixedpoint,
-        theorems._stmt_interior_fixedpoint,
-        theorems._stmt_l145,
-        theorems._stmt_grand_equiv,
+        REGISTRY["sf"].check,
+        REGISTRY["qqq"].check,
+        REGISTRY["llb"].check,
+        REGISTRY["left_idem"].check,
+        REGISTRY["inte"].check,
+        REGISTRY["q2"].check,
+        REGISTRY["gener"].check,
+        REGISTRY["bii"].check,
+        REGISTRY["bi_fixedpoint"].check,
+        REGISTRY["interior_fixedpoint"].check,
+        REGISTRY["l145"].check,
+        REGISTRY["grand_equiv"].check,
     ]
     pairs = [
-        theorems._stmt_rl_cap_quasi,
-        theorems._stmt_cap_eq_prod,
-        theorems._stmt_idemquasi_prod_bi,
+        REGISTRY["rl_cap_quasi"].check,
+        REGISTRY["cap_eq_prod"].check,
+        REGISTRY["idemquasi_prod_bi"].check,
     ]
-    triples = [theorems._stmt_trm_i, theorems._stmt_agss_i]
+    triples = [REGISTRY["trm_i"].check, REGISTRY["agss_i"].check]
     shapes = {"eq": 0, "kind": 0}
     kinds_seen = set()
     for flat in itertools.product(range(2), repeat=4):
