@@ -11,6 +11,7 @@ run on partial prefixes, prunes branches that can no longer be minimal.
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 
@@ -126,8 +127,14 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     return buckets
 
 
-def _iso_group(n: int, k: int, iso_mode: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Non-identity group elements as (value_map, source_cell_of_cell)."""
+def _iso_group(n: int, k: int, iso_mode: str, budget: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Non-identity group elements as (value_map, source_cell_of_cell).
+
+    The group has n! (times k! with labels) members; one larger than the
+    node budget is refused before any of it is built."""
+    size = math.factorial(n) * (math.factorial(k) if iso_mode == "elements_and_gamma" else 1)
+    if size > budget:
+        raise CapacityError(f"isomorphism group has {size} members; node budget is {budget}")
     n2 = n * n
     label_perms: list[tuple[int, ...]]
     if iso_mode == "elements_and_gamma":
@@ -176,7 +183,7 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     t = [-1] * total + list(range(n))
     buckets = _build_instances(n, k, spec.laws)
     pending: list[list[tuple]] = [[] for _ in range(total)]
-    group = _iso_group(n, k, spec.iso_mode) if canonical else []
+    group = _iso_group(n, k, spec.iso_mode, spec.budget) if canonical else []
     needs_left_identity = "has_left_identity" in spec.laws
     nodes = 0
     emitted = 0

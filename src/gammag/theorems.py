@@ -1,10 +1,11 @@
 """Registered algebraic statements verified extensionally on instances.
 
-Each registry entry binds a stable string id to structure hypotheses, a
-premise restricting the quantified fuzzy subsets, and a checker that
-either passes or returns a replayable violation. Quantification ranges
-over all lattice-valued subsets (exhaustive) or a seeded pseudo-random
-sample; both paths are deterministic for fixed inputs.
+Each registry row binds a stable string id to structure hypotheses,
+pre-filters on the quantified fuzzy subsets, and a statement written in
+terms and kinds, compiled at import into a checker that either passes or
+returns a replayable violation. Quantification ranges over all
+lattice-valued subsets (exhaustive) or a seeded pseudo-random sample;
+both paths are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable
+from weakref import WeakKeyDictionary
 
-from .core import CapacityError, GammaMagma, InputError, check_laws
+from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws
 from .crisp import is_intra_regular
 from .fuzzy import (
     FuzzySubset,
@@ -34,16 +36,26 @@ HYPOTHESIS_NAMES = ("gamma_ag", "ag_star_star", "intra_regular", "every_element_
 DEFAULT_TUPLE_BUDGET = 1_000_000
 
 
-@lru_cache(maxsize=64)
+_HYPOTHESES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def structure_hypotheses(m: GammaMagma) -> dict:
-    """Which structure-level hypotheses m satisfies (cached per structure)."""
-    report = check_laws(m)
-    return {
-        "gamma_ag": report.left_invertive,
-        "ag_star_star": report.left_invertive and report.ag_star_star,
-        "intra_regular": report.left_invertive and is_intra_regular(m),
-        "every_element_factorizable": m.every_element_factorizable,
-    }
+    """Which structure-level hypotheses m satisfies (cached while m lives)."""
+    hyps = _HYPOTHESES.get(m)
+    if hyps is None:
+        report = check_laws(m)
+        hyps = _HYPOTHESES[m] = {
+            "gamma_ag": report.left_invertive,
+            "ag_star_star": report.left_invertive and report.ag_star_star,
+            "intra_regular": report.left_invertive and is_intra_regular(m),
+            "every_element_factorizable": m.every_element_factorizable,
+        }
+    return hyps
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
 
 
 def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
@@ -153,195 +165,9 @@ def _family_failure(clause, subsets, derived=()) -> Violation:
     )
 
 
-def _ones(m: GammaMagma) -> FuzzySubset:
-    return FuzzySubset.ones(m.order)
-
-
-# ---------------------------------------------------------------------------
-# statement checkers; each returns None or the first Violation
-
-
-def _stmt_sf(m, f):
-    return _eq_check("ones*f == f", (f,), "ones*f", gamma_product(m, _ones(m), f), "f", f)
-
-
-def _stmt_trm_i(m, f, g, h):
-    lhs = gamma_product(m, gamma_product(m, f, g), h)
-    rhs = gamma_product(m, gamma_product(m, h, g), f)
-    return _eq_check("(f*g)*h == (h*g)*f", (f, g, h), "(f*g)*h", lhs, "(h*g)*f", rhs)
-
-
-def _stmt_trm_ii(m, f, g, h, k):
-    lhs = gamma_product(m, gamma_product(m, f, g), gamma_product(m, h, k))
-    rhs = gamma_product(m, gamma_product(m, f, h), gamma_product(m, g, k))
-    return _eq_check("(f*g)*(h*k) == (f*h)*(g*k)", (f, g, h, k), "(f*g)*(h*k)", lhs, "(f*h)*(g*k)", rhs)
-
-
-def _stmt_agss_i(m, f, g, h):
-    lhs = gamma_product(m, f, gamma_product(m, g, h))
-    rhs = gamma_product(m, g, gamma_product(m, f, h))
-    return _eq_check("f*(g*h) == g*(f*h)", (f, g, h), "f*(g*h)", lhs, "g*(f*h)", rhs)
-
-
-def _stmt_agss_ii(m, f, g, h, k):
-    lhs = gamma_product(m, gamma_product(m, f, g), gamma_product(m, h, k))
-    rhs = gamma_product(m, gamma_product(m, k, h), gamma_product(m, g, f))
-    return _eq_check("(f*g)*(h*k) == (k*h)*(g*f)", (f, g, h, k), "(f*g)*(h*k)", lhs, "(k*h)*(g*f)", rhs)
-
-
-def _stmt_rl_cap_quasi(m, f, g):
-    return _kind_check("f^g is quasi", m, (f, g), "f^g", meet(f, g), "quasi")
-
-
-def _stmt_qqq(m, f):
-    return _kind_check("f is subgroupoid", m, (f,), "f", f, "subgroupoid")
-
-
-def _stmt_idem_quasi_bi(m, f):
-    return _kind_check("f is bi", m, (f,), "f", f, "bi")
-
-
-def _stmt_onesided_quasi(m, f):
-    return _kind_check("f is quasi", m, (f,), "f", f, "quasi")
-
-
-def _stmt_onesided_genbi(m, f):
-    return _kind_check("f is generalized_bi", m, (f,), "f", f, "generalized_bi")
-
-
-def _stmt_idemquasi_prod_bi(m, f, g):
-    fg = _kind_check("f*g is bi", m, (f, g), "f*g", gamma_product(m, f, g), "bi")
-    return fg or _kind_check("g*f is bi", m, (f, g), "g*f", gamma_product(m, g, f), "bi")
-
-
-def _stmt_prod_onesided(m, f, g):
-    for side in ("left", "right"):
-        if has_fuzzy_kind(m, f, side) and has_fuzzy_kind(m, g, side):
-            v = _kind_check(f"f*g is {side}", m, (f, g), "f*g", gamma_product(m, f, g), side)
-            if v is not None:
-                return v
-    return None
-
-
-def _iff_kinds(m, f, kind_a, kind_b):
-    wa = kind_violation(m, f, kind_a)
-    wb = kind_violation(m, f, kind_b)
-    if (wa is None) == (wb is None):
-        return None
-    if wa is None:
-        return _kind_failure(f"{kind_a} but not {kind_b}", (f,), (("f", f),), kind_b, wb)
-    return _kind_failure(f"{kind_b} but not {kind_a}", (f,), (("f", f),), kind_a, wa)
-
-
-def _stmt_llb(m, f):
-    return _iff_kinds(m, f, "right", "left")
-
-
-def _stmt_left_idem(m, f):
-    return _eq_check("f*f == f", (f,), "f*f", gamma_product(m, f, f), "f", f)
-
-
-def _stmt_cap_eq_prod(m, f, g):
-    return _eq_check("f^g == f*g", (f, g), "f^g", meet(f, g), "f*g", gamma_product(m, f, g))
-
-
-def _stmt_inte(m, f):
-    return _iff_kinds(m, f, "two_sided", "interior")
-
-
-def _stmt_q2(m, f):
-    return _iff_kinds(m, f, "two_sided", "quasi")
-
-
-def _stmt_gener(m, f):
-    return _iff_kinds(m, f, "bi", "generalized_bi")
-
-
-def _stmt_bii(m, f):
-    return _iff_kinds(m, f, "two_sided", "bi")
-
-
-def _stmt_bi_fixedpoint(m, f):
-    one = _ones(m)
-    fs_f = gamma_product(m, gamma_product(m, f, one), f)
-    ff = gamma_product(m, f, f)
-    eqs = fs_f == f and ff == f
-    w = kind_violation(m, f, "bi")
-    if (w is None) == eqs:
-        return None
-    if w is None:
-        lhs, name = (fs_f, "(f*ones)*f") if fs_f != f else (ff, "f*f")
-        return _eq_check(f"bi but {name} != f", (f,), name, lhs, "f", f)
-    return _kind_failure(
-        "fixed point equations but not bi", (f,), (("(f*ones)*f", fs_f), ("f*f", ff)), "bi", w
-    )
-
-
-def _stmt_interior_fixedpoint(m, f):
-    one = _ones(m)
-    sfs = gamma_product(m, gamma_product(m, one, f), one)
-    w = kind_violation(m, f, "interior")
-    if (w is None) == (sfs == f):
-        return None
-    if w is None:
-        return _eq_check("interior but (ones*f)*ones != f", (f,), "(ones*f)*ones", sfs, "f", f)
-    return _kind_failure(
-        "(ones*f)*ones == f but not interior", (f,), (("(ones*f)*ones", sfs),), "interior", w
-    )
-
-
-def _stmt_l145(m, f):
-    return _stmt_sf(m, f) or _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, _ones(m)), "f", f)
-
-
-GRAND_CONDITIONS = ("left", "right", "two_sided", "bi", "generalized_bi", "interior", "quasi")
-
-
-def _stmt_grand_equiv(m, f):
-    one = _ones(m)
-    flags = {kind: has_fuzzy_kind(m, f, kind) for kind in GRAND_CONDITIONS}
-    sf = gamma_product(m, one, f)
-    fs = gamma_product(m, f, one)
-    flags["ones*f == f == f*ones"] = sf == f and fs == f
-    if all(flags.values()) or not any(flags.values()):
-        return None
-    true_name = next(n for n, v in flags.items() if v)
-    false_name = next(n for n, v in flags.items() if not v)
-    if false_name in GRAND_CONDITIONS:
-        return _kind_check(f"{true_name} but not {false_name}", m, (f,), "f", f, false_name)
-    bad = sf if sf != f else fs
-    name = "ones*f" if sf != f else "f*ones"
-    return _eq_check(f"{true_name} but {name} != f", (f,), name, bad, "f", f)
-
-
-# ---------------------------------------------------------------------------
-# premises
-
-
-def _is_left(m, f):
-    return has_fuzzy_kind(m, f, "left")
-
-
-def _is_right(m, f):
-    return has_fuzzy_kind(m, f, "right")
-
-
-def _is_onesided(m, f):
-    return has_fuzzy_kind(m, f, "left") or has_fuzzy_kind(m, f, "right")
-
-
-def _is_idem_quasi(m, f):
-    return has_fuzzy_kind(m, f, "quasi") and has_fuzzy_kind(m, f, "idempotent")
-
-
-def _is_two_sided(m, f):
-    return has_fuzzy_kind(m, f, "two_sided")
-
-
-def _both_same_side(m, f, g):
-    if _is_left(m, f) and _is_left(m, g):
-        return True
-    return _is_right(m, f) and _is_right(m, g)
+@cache
+def _ones(order: int) -> FuzzySubset:
+    return FuzzySubset.ones(order)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +175,13 @@ def _both_same_side(m, f, g):
 
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
+    _check_budget(budget)
     total = lattice.count(m.order)
     if total > budget:
         raise CapacityError(
             f"family enumeration needs {total} lattice subsets; budget is {budget}"
         )
-    return [f for f in lattice.subsets(m.order) if _is_two_sided(m, f)]
+    return [f for f in lattice.subsets(m.order) if has_fuzzy_kind(m, f, "two_sided")]
 
 
 def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -379,7 +206,7 @@ def _closure_violation(m, f, g, fg):
 
 def _semilattice_scan(m, family) -> tuple[dict[str, bool], Violation | None]:
     """Which semilattice properties the family has, and the first violation."""
-    one = _ones(m)
+    one = _ones(m.order)
     index = set(family)
     flags = dict.fromkeys(("closed", "commutative", "associative", "all_idempotent", "identity_holds"), True)
     violation = None
@@ -412,24 +239,25 @@ def _family_semilattice(m, family):
     return _semilattice_scan(m, family)[1]
 
 
-def _is_prime_in(m, f, family):
+def _split_below(f, family, combine):
+    """First (g, h) with combine(g, h) <= f but neither g <= f nor h <= f.
+
+    With composition, None means f is prime in the family; with meet, it
+    means f is strongly irreducible."""
     for g, h in itertools.product(family, repeat=2):
-        if leq(gamma_product(m, g, h), f) and not leq(g, f) and not leq(h, f):
+        if leq(combine(g, h), f) and not leq(g, f) and not leq(h, f):
             return (g, h)
     return None
 
 
-def _is_strongly_irreducible_in(m, f, family):
-    for g, h in itertools.product(family, repeat=2):
-        if leq(meet(g, h), f) and not leq(g, f) and not leq(h, f):
-            return (g, h)
-    return None
+def _not_prime(m, f, family):
+    return _split_below(f, family, lambda g, h: gamma_product(m, g, h))
 
 
 def _family_irr_iff_prime(m, family):
     for f in family:
-        irr = _is_strongly_irreducible_in(m, f, family)
-        prime = _is_prime_in(m, f, family)
+        irr = _split_below(f, family, meet)
+        prime = _not_prime(m, f, family)
         if (irr is None) == (prime is None):
             continue
         if irr is None:
@@ -445,7 +273,7 @@ def _family_irr_iff_prime(m, family):
 def _family_all_prime_iff_chain(m, family):
     not_prime = None
     for f in family:
-        witness = _is_prime_in(m, f, family)
+        witness = _not_prime(m, f, family)
         if witness is not None:
             not_prime = (f,) + witness
             break
@@ -466,6 +294,221 @@ def _family_all_prime_iff_chain(m, family):
 
 # ---------------------------------------------------------------------------
 # registry
+#
+# One row per statement: (id, summary, hypotheses, pre-filters, shape,
+# items). A term is a variable f, g, h or k, the all-ones subset "ones",
+# or (op, left, right) with op "*" (composition) or "^" (meet); an
+# equation is (lhs, "==", rhs). A pre-filter names the kinds a quantified
+# position is drawn from, all of the kinds joined by "&", any one of the
+# alternatives joined by "|"; "" or no pre-filters at all draws from every
+# subset. Shape "holds" lists conclusions, equations or (term, "is",
+# kind), and reports the first that fails; a conclusion may end with a
+# guard, one kind per variable, and is then checked only where its guard
+# holds, so a tuple counts as checked when some guard holds. Shape
+# "coincide" lists conditions on f, each a kind or a (name, equations)
+# group, and fails when some hold and others do not, setting the first
+# that holds against the first that fails. Shape "family" names a check of
+# the two-sided family.
+
+_VARIABLES = "fghk"
+
+
+def _law(name):
+    """A LAW_TERMS row as an equation: labels dropped, variables renamed in order to f, g, h, k."""
+    variables, _, (lhs, rhs) = LAW_TERMS[name]
+    rename = dict(zip(variables, _VARIABLES))
+
+    def term(t):
+        return rename[t] if isinstance(t, str) else ("*", term(t[1]), term(t[2]))
+
+    return (term(lhs), "==", term(rhs))
+
+
+_ONES_F = ("*", "ones", "f")
+_F_ONES = ("*", "f", "ones")
+_FG = ("*", "f", "g")
+_F_CAP_G = ("^", "f", "g")
+_GAMMA_AG = ("gamma_ag",)
+_AGSS = ("gamma_ag", "ag_star_star")
+_INTRA = ("gamma_ag", "intra_regular")
+_INTRA_AGSS = ("gamma_ag", "ag_star_star", "intra_regular")
+
+_ROWS = (
+    ("sf", "composing the all-ones subset onto a left-stable subset returns it unchanged",
+     _GAMMA_AG, ("left",), "holds", [(_ONES_F, "==", "f")]),
+    ("sf_factorizable", "same statement as sf, gated on every element having a factorization",
+     ("gamma_ag", "every_element_factorizable"), ("left",), "holds", [(_ONES_F, "==", "f")]),
+    ("trm_i", "composition satisfies the invertive law",
+     _GAMMA_AG, (), "holds", [_law("left_invertive")]),
+    ("trm_ii", "composition satisfies the medial law",
+     _GAMMA_AG, (), "holds", [_law("medial")]),
+    ("agss_i", "composition lets the first factors of nested products swap",
+     _AGSS, (), "holds", [_law("ag_star_star")]),
+    ("agss_ii", "composition satisfies the paramedial law",
+     _AGSS, (), "holds", [_law("paramedial")]),
+    ("rl_cap_quasi", "meet of a right-stable and a left-stable subset is quasi-stable",
+     _GAMMA_AG, ("right", "left"), "holds", [(_F_CAP_G, "is", "quasi")]),
+    ("qqq", "every quasi-stable subset is closed under composition pointwise",
+     _GAMMA_AG, ("quasi",), "holds", [("f", "is", "subgroupoid")]),
+    ("idem_quasi_bi", "idempotent quasi-stable subsets satisfy the bi condition",
+     _GAMMA_AG, ("quasi&idempotent",), "holds", [("f", "is", "bi")]),
+    ("onesided_quasi", "one-sided stability implies quasi stability",
+     _GAMMA_AG, ("left|right",), "holds", [("f", "is", "quasi")]),
+    ("onesided_genbi", "one-sided stability implies the generalized bi condition",
+     _GAMMA_AG, ("left|right",), "holds", [("f", "is", "generalized_bi")]),
+    ("idemquasi_prod_bi", "products of idempotent quasi-stable subsets satisfy the bi condition",
+     _AGSS, ("quasi&idempotent", "quasi&idempotent"), "holds",
+     [(_FG, "is", "bi"), (("*", "g", "f"), "is", "bi")]),
+    ("prod_onesided", "products of two left-stable (right-stable) subsets stay left-stable (right-stable)",
+     _AGSS, ("left|right", "left|right"), "holds",
+     [(_FG, "is", "left", ("left", "left")), (_FG, "is", "right", ("right", "right"))]),
+    ("llb", "right stability and left stability coincide",
+     _INTRA, (), "coincide", ["right", "left"]),
+    ("left_idem", "left-stable subsets are idempotent under composition",
+     _INTRA_AGSS, ("left",), "holds", [(("*", "f", "f"), "==", "f")]),
+    ("cap_eq_prod", "meet equals composition for right-stable against left-stable subsets",
+     _INTRA_AGSS, ("right", "left"), "holds", [(_F_CAP_G, "==", _FG)]),
+    ("semi1", "two-sided-stable subsets form a commutative idempotent semigroup with the all-ones identity",
+     _INTRA_AGSS, (), "family", _family_semilattice),
+    ("irr_iff_prime", "strong irreducibility and primeness coincide on the two-sided family",
+     _INTRA_AGSS, (), "family", _family_irr_iff_prime),
+    ("all_prime_iff_chain", "all members prime exactly when the two-sided family is totally ordered",
+     _INTRA_AGSS, (), "family", _family_all_prime_iff_chain),
+    ("inte", "two-sided stability coincides with the interior condition",
+     _INTRA_AGSS, (), "coincide", ["two_sided", "interior"]),
+    ("q2", "two-sided stability coincides with quasi stability",
+     _INTRA_AGSS, (), "coincide", ["two_sided", "quasi"]),
+    ("gener", "the bi condition coincides with the generalized bi condition",
+     _INTRA_AGSS, (), "coincide", ["bi", "generalized_bi"]),
+    ("bii", "two-sided stability coincides with the bi condition",
+     _INTRA_AGSS, (), "coincide", ["two_sided", "bi"]),
+    ("bi_fixedpoint", "the bi condition coincides with the two fixed point equations",
+     _INTRA_AGSS, (), "coincide",
+     ["bi", ("fixed point equations", [(("*", _F_ONES, "f"), "==", "f"), (("*", "f", "f"), "==", "f")])]),
+    ("interior_fixedpoint", "the interior condition coincides with its fixed point equation",
+     _INTRA_AGSS, (), "coincide",
+     ["interior", ("(ones*f)*ones == f", [(("*", _ONES_F, "ones"), "==", "f")])]),
+    ("l145", "left-stable subsets absorb the all-ones subset on both sides",
+     _INTRA_AGSS, ("left",), "holds", [(_ONES_F, "==", "f"), (_F_ONES, "==", "f")]),
+    ("grand_equiv", "the seven stability kinds and the absorption equations all coincide",
+     _INTRA_AGSS, (), "coincide",
+     ["left", "right", "two_sided", "bi", "generalized_bi", "interior", "quasi",
+      ("ones*f == f == f*ones", [(_ONES_F, "==", "f"), (_F_ONES, "==", "f")])]),
+)
+
+
+def _render(term, nested=False) -> str:
+    """The term's name as derived payloads carry it, e.g. "(f*g)*h"."""
+    if isinstance(term, str):
+        return term
+    op, left, right = term
+    text = f"{_render(left, True)}{op}{_render(right, True)}"
+    return f"({text})" if nested else text
+
+
+def _variables(term) -> list[str]:
+    if isinstance(term, str):
+        return [term] if term in _VARIABLES else []
+    return _variables(term[1]) + _variables(term[2])
+
+
+def _evaluator(term):
+    """Closure computing the term's value from (m, subsets)."""
+    if term == "ones":
+        return lambda m, fs: _ones(m.order)
+    if isinstance(term, str):
+        i = _VARIABLES.index(term)
+        return lambda m, fs: fs[i]
+    op, left, right = term
+    a, b = _evaluator(left), _evaluator(right)
+    # gamma_product and meet are looked up at call time, so a wrapper
+    # installed on this module's attribute sees every call
+    if op == "*":
+        return lambda m, fs: gamma_product(m, a(m, fs), b(m, fs))
+    return lambda m, fs: meet(a(m, fs), b(m, fs))
+
+
+def _equation(eq):
+    lhs, _, rhs = eq
+    return _render(lhs), _evaluator(lhs), _render(rhs), _evaluator(rhs)
+
+
+def _guard_holds(m, fs, kinds) -> bool:
+    return all(has_fuzzy_kind(m, f, kind) for f, kind in zip(fs, kinds))
+
+
+def _conclusion(item):
+    """(guard or None, test returning the conclusion's violation or None)."""
+    lhs, relation, rhs, *guard = item
+    if relation == "is":
+        name, value = _render(lhs), _evaluator(lhs)
+        clause = f"{name} is {rhs}"
+
+        def test(m, fs):
+            return _kind_check(clause, m, fs, name, value(m, fs), rhs)
+    else:
+        lname, lvalue, rname, rvalue = _equation(item[:3])
+        clause = f"{lname} == {rname}"
+
+        def test(m, fs):
+            return _eq_check(clause, fs, lname, lvalue(m, fs), rname, rvalue(m, fs))
+
+    return (guard[0] if guard else None), test
+
+
+def _holds(conclusions):
+    """Checker and premise for a "holds" row."""
+    steps = [_conclusion(item) for item in conclusions]
+    guards = [guard for guard, _ in steps]
+
+    def check(m, *fs):
+        for guard, test in steps:
+            if guard is None or _guard_holds(m, fs, guard):
+                v = test(m, fs)
+                if v is not None:
+                    return v
+        return None
+
+    if None in guards:
+        return check, None
+    return check, lambda m, *fs: any(_guard_holds(m, fs, guard) for guard in guards)
+
+
+def _coincide(conditions):
+    """Checker for a "coincide" row: every condition is decided, then the
+    first that holds is set against the first that fails."""
+    parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(eq) for eq in c[1]]) for c in conditions]
+
+    def check(m, *fs):
+        f = fs[0]
+        found = []  # per condition: (holds, kind witness or evaluated sides)
+        for name, equations in parts:
+            if equations is None:
+                w = kind_violation(m, f, name)
+                found.append((w is None, w))
+            else:
+                sides = [(ln, lv(m, fs), rn, rv(m, fs)) for ln, lv, rn, rv in equations]
+                found.append((all(lhs == rhs for _, lhs, _, rhs in sides), sides))
+        flags = [ok for ok, _ in found]
+        if all(flags) or not any(flags):
+            return None
+        t, u = flags.index(True), flags.index(False)
+        (true_name, true_eqs), (false_name, false_eqs) = parts[t], parts[u]
+        if false_eqs is None:
+            derived = (("f", f),) if true_eqs is None else [(ln, lhs) for ln, lhs, _, _ in found[t][1]]
+            return _kind_failure(f"{true_name} but not {false_name}", fs, derived, false_name, found[u][1])
+        ln, lhs, rn, rhs = next(s for s in found[u][1] if s[1] != s[3])
+        return _eq_check(f"{true_name} but {ln} != {rn}", fs, ln, lhs, rn, rhs)
+
+    return check
+
+
+def _pre_filter(spec):
+    """Membership test for one quantified position; None for no filter."""
+    if not spec:
+        return None
+    alternatives = [alt.split("&") for alt in spec.split("|")]
+    return lambda m, f: any(all(has_fuzzy_kind(m, f, k) for k in kinds) for kinds in alternatives)
 
 
 @dataclass(frozen=True)
@@ -484,221 +527,24 @@ class TheoremEntry:
         return self.family_check is not None
 
 
-_GAMMA_AG = ("gamma_ag",)
-_AGSS = ("gamma_ag", "ag_star_star")
-_INTRA = ("gamma_ag", "intra_regular")
-_INTRA_AGSS = ("gamma_ag", "ag_star_star", "intra_regular")
+def _entry(theorem_id, summary, hypotheses, filters, shape, items) -> TheoremEntry:
+    """Compile one row; the arity is the number of variables the row uses."""
+    if shape == "family":
+        return TheoremEntry(theorem_id, summary, hypotheses, 0, None, family_check=items)
+    if shape == "holds":
+        check, premise = _holds(items)
+        terms = [t for lhs, rel, rhs, *_ in items for t in ((lhs, rhs) if rel == "==" else (lhs,))]
+    else:
+        check, premise = _coincide(items), None
+        groups = [c[1] for c in items if not isinstance(c, str)]
+        terms = ["f"] + [t for equations in groups for lhs, _, rhs in equations for t in (lhs, rhs)]
+    arity = 1 + max(_VARIABLES.index(v) for t in terms for v in _variables(t))
+    pre_filters = tuple(_pre_filter(spec) for spec in filters or ("",) * arity)
+    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters)
 
-_ENTRIES = [
-    TheoremEntry(
-        "sf",
-        "composing the all-ones subset onto a left-stable subset returns it unchanged",
-        _GAMMA_AG,
-        1,
-        _stmt_sf,
-        pre_filters=(_is_left,),
-    ),
-    TheoremEntry(
-        "sf_factorizable",
-        "same statement as sf, gated on every element having a factorization",
-        ("gamma_ag", "every_element_factorizable"),
-        1,
-        _stmt_sf,
-        pre_filters=(_is_left,),
-    ),
-    TheoremEntry(
-        "trm_i",
-        "composition satisfies the invertive law",
-        _GAMMA_AG,
-        3,
-        _stmt_trm_i,
-    ),
-    TheoremEntry(
-        "trm_ii",
-        "composition satisfies the medial law",
-        _GAMMA_AG,
-        4,
-        _stmt_trm_ii,
-    ),
-    TheoremEntry(
-        "agss_i",
-        "composition lets the first factors of nested products swap",
-        _AGSS,
-        3,
-        _stmt_agss_i,
-    ),
-    TheoremEntry(
-        "agss_ii",
-        "composition satisfies the paramedial law",
-        _AGSS,
-        4,
-        _stmt_agss_ii,
-    ),
-    TheoremEntry(
-        "rl_cap_quasi",
-        "meet of a right-stable and a left-stable subset is quasi-stable",
-        _GAMMA_AG,
-        2,
-        _stmt_rl_cap_quasi,
-        pre_filters=(_is_right, _is_left),
-    ),
-    TheoremEntry(
-        "qqq",
-        "every quasi-stable subset is closed under composition pointwise",
-        _GAMMA_AG,
-        1,
-        _stmt_qqq,
-        pre_filters=(lambda m, f: has_fuzzy_kind(m, f, "quasi"),),
-    ),
-    TheoremEntry(
-        "idem_quasi_bi",
-        "idempotent quasi-stable subsets satisfy the bi condition",
-        _GAMMA_AG,
-        1,
-        _stmt_idem_quasi_bi,
-        pre_filters=(_is_idem_quasi,),
-    ),
-    TheoremEntry(
-        "onesided_quasi",
-        "one-sided stability implies quasi stability",
-        _GAMMA_AG,
-        1,
-        _stmt_onesided_quasi,
-        pre_filters=(_is_onesided,),
-    ),
-    TheoremEntry(
-        "onesided_genbi",
-        "one-sided stability implies the generalized bi condition",
-        _GAMMA_AG,
-        1,
-        _stmt_onesided_genbi,
-        pre_filters=(_is_onesided,),
-    ),
-    TheoremEntry(
-        "idemquasi_prod_bi",
-        "products of idempotent quasi-stable subsets satisfy the bi condition",
-        _AGSS,
-        2,
-        _stmt_idemquasi_prod_bi,
-        pre_filters=(_is_idem_quasi, _is_idem_quasi),
-    ),
-    TheoremEntry(
-        "prod_onesided",
-        "products of two left-stable (right-stable) subsets stay left-stable (right-stable)",
-        _AGSS,
-        2,
-        _stmt_prod_onesided,
-        premise=_both_same_side,
-        pre_filters=(_is_onesided, _is_onesided),
-    ),
-    TheoremEntry(
-        "llb",
-        "right stability and left stability coincide",
-        _INTRA,
-        1,
-        _stmt_llb,
-    ),
-    TheoremEntry(
-        "left_idem",
-        "left-stable subsets are idempotent under composition",
-        _INTRA_AGSS,
-        1,
-        _stmt_left_idem,
-        pre_filters=(_is_left,),
-    ),
-    TheoremEntry(
-        "cap_eq_prod",
-        "meet equals composition for right-stable against left-stable subsets",
-        _INTRA_AGSS,
-        2,
-        _stmt_cap_eq_prod,
-        pre_filters=(_is_right, _is_left),
-    ),
-    TheoremEntry(
-        "semi1",
-        "two-sided-stable subsets form a commutative idempotent semigroup with the all-ones identity",
-        _INTRA_AGSS,
-        0,
-        None,
-        family_check=_family_semilattice,
-    ),
-    TheoremEntry(
-        "irr_iff_prime",
-        "strong irreducibility and primeness coincide on the two-sided family",
-        _INTRA_AGSS,
-        0,
-        None,
-        family_check=_family_irr_iff_prime,
-    ),
-    TheoremEntry(
-        "all_prime_iff_chain",
-        "all members prime exactly when the two-sided family is totally ordered",
-        _INTRA_AGSS,
-        0,
-        None,
-        family_check=_family_all_prime_iff_chain,
-    ),
-    TheoremEntry(
-        "inte",
-        "two-sided stability coincides with the interior condition",
-        _INTRA_AGSS,
-        1,
-        _stmt_inte,
-    ),
-    TheoremEntry(
-        "q2",
-        "two-sided stability coincides with quasi stability",
-        _INTRA_AGSS,
-        1,
-        _stmt_q2,
-    ),
-    TheoremEntry(
-        "gener",
-        "the bi condition coincides with the generalized bi condition",
-        _INTRA_AGSS,
-        1,
-        _stmt_gener,
-    ),
-    TheoremEntry(
-        "bii",
-        "two-sided stability coincides with the bi condition",
-        _INTRA_AGSS,
-        1,
-        _stmt_bii,
-    ),
-    TheoremEntry(
-        "bi_fixedpoint",
-        "the bi condition coincides with the two fixed point equations",
-        _INTRA_AGSS,
-        1,
-        _stmt_bi_fixedpoint,
-    ),
-    TheoremEntry(
-        "interior_fixedpoint",
-        "the interior condition coincides with its fixed point equation",
-        _INTRA_AGSS,
-        1,
-        _stmt_interior_fixedpoint,
-    ),
-    TheoremEntry(
-        "l145",
-        "left-stable subsets absorb the all-ones subset on both sides",
-        _INTRA_AGSS,
-        1,
-        _stmt_l145,
-        pre_filters=(_is_left,),
-    ),
-    TheoremEntry(
-        "grand_equiv",
-        "the seven stability kinds and the absorption equations all coincide",
-        _INTRA_AGSS,
-        1,
-        _stmt_grand_equiv,
-    ),
-]
 
-REGISTRY = {e.theorem_id: e for e in _ENTRIES}
-REGISTRY_ORDER = tuple(e.theorem_id for e in _ENTRIES)
+REGISTRY = {row[0]: _entry(*row) for row in _ROWS}
+REGISTRY_ORDER = tuple(REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -758,21 +604,20 @@ def _exhaustive_tuples(m, entry, lattice, budget):
             f"exhaustive check needs {per_subset ** entry.arity} tuples; budget is {budget}"
         )
     pool = list(lattice.subsets(m.order))
-    filters = entry.pre_filters or (None,) * entry.arity
-    yield from itertools.product(*[[f for f in pool if flt(m, f)] if flt else pool for flt in filters])
+    pools = [[f for f in pool if flt(m, f)] if flt else pool for flt in entry.pre_filters]
+    yield from itertools.product(*pools)
 
 
 def _sampled_tuples(m, entry, lattice, seed, samples, budget):
     """The seeded draws, in counter order, that pass every pre-filter."""
     if samples * entry.arity > budget:
         raise CapacityError(f"sampling needs {samples * entry.arity} draws; budget is {budget}")
-    filters = entry.pre_filters or (None,) * entry.arity
     for i in range(samples):
         fs = tuple(
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
             for j in range(entry.arity)
         )
-        if all(flt is None or flt(m, f) for flt, f in zip(filters, fs)):
+        if all(flt is None or flt(m, f) for flt, f in zip(entry.pre_filters, fs)):
             yield fs
 
 
@@ -800,6 +645,7 @@ def verify(
     if mode == "sampled":
         if seed is None or samples is None or samples < 1:
             raise InputError("sampled mode needs a seed and a positive sample count")
+    _check_budget(budget)
     hyps = structure_hypotheses(m)
     failed = tuple(h for h in entry.hypotheses if not hyps[h])
     if failed:
@@ -854,6 +700,7 @@ def verify_all(
     jobs: int = 1,
 ) -> dict[str, Verdict]:
     """Run every registered id; capacity errors are recorded, not raised."""
+    _check_budget(budget)
     workers = _worker_count(jobs)
     tasks = [(m, tid, lattice, mode, seed, samples, budget) for tid in REGISTRY_ORDER]
     if workers > 1:
@@ -905,8 +752,9 @@ class SemilatticeReport:
 
 def semilattice_report(m: GammaMagma, lattice: Lattice, budget: int = DEFAULT_TUPLE_BUDGET) -> SemilatticeReport:
     """Exhaustive semilattice audit of the lattice-valued two-sided family."""
+    _check_budget(budget)
     hyps = structure_hypotheses(m)
-    missing = [h for h in ("gamma_ag", "ag_star_star", "intra_regular") if not hyps[h]]
+    missing = [h for h in REGISTRY["semi1"].hypotheses if not hyps[h]]
     if missing:
         raise InputError(f"structure fails required hypotheses: {', '.join(missing)}")
     family = _audited_family(m, lattice, budget)

@@ -264,6 +264,12 @@ def test_verify_budget_flag(capsys, m2_file):
     assert code == 0 and out["status"] == "holds" and out["checked"] == 256
 
 
+def test_verify_nonpositive_budget_is_bad_input(capsys):
+    for argv in (("--theorem", "sf", "--budget", "0"), ("--theorem", "all", "--budget", "-1")):
+        code, out, err = run(capsys, "verify", "ir5", *argv)
+        assert code == 2 and out == "" and "budget" in err and "Traceback" not in err
+
+
 def test_verify_sampled_mode(capsys):
     code, out, _ = run_json(
         capsys, "verify", "ir5", "--theorem", "trm_ii",

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 import oracles
-from gammag.core import GammaMagma, InputError, check_laws
+from gammag import finder
+from gammag.cli import main
+from gammag.core import CapacityError, GammaMagma, InputError, check_laws
 from gammag.crisp import is_intra_regular
 from gammag.finder import (
     FINDER_PROPERTIES,
@@ -206,6 +208,25 @@ def test_budget_exhaustion_is_reported():
     assert "300" in str(err)
     # whatever was emitted before exhaustion is a prefix of the full list
     assert [m.to_dict() for m in partial] == [m.to_dict() for m in full[: len(partial)]]
+
+
+def test_oversized_isomorphism_group_is_refused(monkeypatch, capsys):
+    # 12 labels give 12! label permutations: refused before any is made
+    real = itertools.permutations
+
+    def guarded(iterable, *args):
+        pool = tuple(iterable)
+        if len(pool) > 8:
+            raise AssertionError(f"permutations of {len(pool)} items requested")
+        return real(pool, *args)
+
+    monkeypatch.setattr(finder.itertools, "permutations", guarded)
+    spec = SearchSpec(order=1, gamma_count=12, iso_mode="elements_and_gamma")
+    with pytest.raises(CapacityError, match="479001600 members"):
+        next(enumerate_models(spec))
+    argv = ["enumerate", "--order", "1", "--gamma", "12", "--iso", "elements_and_gamma", "--count"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
-from gammag.fuzzy import FuzzySubset, Lattice, gamma_product, leq, meet
+from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, leq, meet
 from gammag import theorems
 from gammag.theorems import (
     DEFAULT_TUPLE_BUDGET,
@@ -72,8 +72,36 @@ def test_registry_order_is_frozen():
     assert set(REGISTRY) == set(ALL_IDS)
 
 
-def test_registry_entries_are_well_formed():
-    for tid in REGISTRY_ORDER:
+def _row_terms_and_kinds(row):
+    """Every term and every kind a registry row names."""
+    _, _, _, filters, shape, items = row
+    kinds = {k for spec in filters for alt in spec.split("|") for k in alt.split("&") if k}
+    terms = []
+    if shape == "family":
+        return terms, kinds
+    for item in items:
+        if shape == "coincide":
+            if isinstance(item, str):
+                kinds.add(item)
+            else:
+                terms += [t for lhs, _, rhs in item[1] for t in (lhs, rhs)]
+            continue
+        lhs, rel, rhs, *guard = item
+        if rel == "is":
+            terms.append(lhs)
+            kinds.add(rhs)
+        else:
+            terms += [lhs, rhs]
+        for kinds_of_variables in guard:
+            kinds.update(kinds_of_variables)
+    return terms, kinds
+
+
+def test_registry_entries_are_well_formed(m2):
+    assert tuple(row[0] for row in theorems._ROWS) == REGISTRY_ORDER
+    subsets = dict(zip("fghk", (FuzzySubset.ones(2).values,) * 4))
+    for row in theorems._ROWS:
+        tid = row[0]
         entry = REGISTRY[tid]
         assert entry.theorem_id == tid
         assert entry.summary and isinstance(entry.summary, str)
@@ -84,8 +112,28 @@ def test_registry_entries_are_well_formed():
         else:
             assert not entry.family and 1 <= entry.arity <= 4
             assert callable(entry.check)
-        if entry.pre_filters is not None:
             assert len(entry.pre_filters) == entry.arity
+        terms, kinds = _row_terms_and_kinds(row)
+        assert kinds <= set(FUZZY_KINDS), tid
+        for term in terms:
+            oracles.eval_expr(theorems._render(term), m2, subsets)
+
+
+def test_structure_hypotheses_cached_per_structure(monkeypatch, li_models_small):
+    # more structures than any small fixed-size cache holds, under gamma
+    # labels no other test uses, each decided once across two sweeps
+    models = [
+        GammaMagma(order=m.order, gamma=tuple(f"probe{i}" for i in range(len(m.gamma))), tables=m.tables)
+        for m in li_models_small
+    ]
+    assert len(models) == 219
+    calls = []
+    real = theorems.check_laws
+    monkeypatch.setattr(theorems, "check_laws", lambda m: calls.append(m) or real(m))
+    for _ in range(2):
+        for m in models:
+            verify(m, "sf", Lattice(1))
+    assert len(calls) == len(models)
 
 
 def test_structure_hypotheses_frozen(ir5, ag9, m2):
@@ -123,6 +171,15 @@ def test_verify_rejects_bad_arguments(ir5):
         verify(ir5, "sf", lat, mode="sampled", samples=10)
     with pytest.raises(InputError):
         verify(ir5, "sf", lat, mode="sampled", seed=1)
+    for budget in (0, -1):
+        with pytest.raises(InputError, match="budget"):
+            verify(ir5, "sf", lat, budget=budget)
+        with pytest.raises(InputError, match="budget"):
+            verify_all(ir5, lat, budget=budget)
+        with pytest.raises(InputError, match="budget"):
+            semilattice_report(ir5, lat, budget=budget)
+        with pytest.raises(InputError, match="budget"):
+            two_sided_family(ir5, lat, budget)
 
 
 def test_hypothesis_gating(ag9, m2):
