@@ -7,6 +7,8 @@ sup-min composition (fuzzy), instance-level theorem verification
 exposes all of it as a JSON-emitting command line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CapacityError,
     GammaMagma,
@@ -59,48 +61,11 @@ from .theorems import (
     verify_all,
 )
 
+# every imported name but the submodules themselves
 __all__ = [
-    "CapacityError",
-    "GammaMagma",
-    "InputError",
-    "LawReport",
-    "LawWitness",
-    "check_laws",
-    "from_base_with_terms",
-    "integer_op_eval",
-    "load_structure",
-    "structure_from_dict",
-    "IDEAL_KINDS",
-    "CrispSubset",
-    "IntraWitness",
-    "classify_subset",
-    "enumerate_ideals",
-    "intra_regular_witness",
-    "is_intra_regular",
-    "set_product",
-    "FUZZY_KINDS",
-    "FuzzySubset",
-    "Lattice",
-    "characteristic",
-    "classify_fuzzy",
-    "gamma_product",
-    "join",
-    "leq",
-    "level_cut",
-    "meet",
-    "FINDER_PROPERTIES",
-    "SearchBudgetError",
-    "SearchSpec",
-    "enumerate_models",
-    "find_counterexample_structure",
-    "REGISTRY",
-    "REGISTRY_ORDER",
-    "SemilatticeReport",
-    "Verdict",
-    "Violation",
-    "semilattice_report",
-    "verify",
-    "verify_all",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 
 __version__ = "0.1.0"

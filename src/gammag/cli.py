@@ -31,7 +31,7 @@ from .crisp import (
     intra_regular_witness,
     is_intra_regular,
 )
-from .finder import DEFAULT_NODE_BUDGET, SearchSpec, enumerate_models
+from .finder import DEFAULT_NODE_BUDGET, ISO_MODES, SearchSpec, enumerate_models
 from .fuzzy import FUZZY_KINDS, Lattice, classify_fuzzy, fuzzy_from_dict, gamma_product
 from .theorems import DEFAULT_TUPLE_BUDGET, REGISTRY_ORDER, verify, verify_all
 
@@ -231,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, default=1)
     p.add_argument("--laws", default="left_invertive", help="comma separated law names; "
                    "intra_regular is applied as a completion filter")
-    p.add_argument("--iso", choices=("elements_only", "elements_and_gamma"),
-                   default="elements_only")
+    p.add_argument("--iso", choices=ISO_MODES, default=ISO_MODES[0])
     p.add_argument("--intra-regular", action="store_true", dest="intra_regular")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--count", action="store_true")

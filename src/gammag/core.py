@@ -175,34 +175,35 @@ class LawWitness:
 
 @dataclass(frozen=True)
 class LawReport:
-    """Per-law booleans plus the first lexicographic witness for each failure.
+    """First lexicographic witness for each failed law, plus the least
+    left identity; every flag in LAW_NAMES is read from these two.
 
     Witness tuples order element components before gamma components, and
     the scan enumerates elements in carrier order and labels in declared
     order, so the recorded witness is the lexicographically smallest one.
     has_left_identity is existential: when it holds, left_identity is the
     least such element; when it fails there is no witness to attach.
+    Flags read as attributes too (report.medial).
     """
 
-    left_invertive: bool
-    medial: bool
-    ag_star_star: bool
-    paramedial: bool
-    commutative: bool
-    associative: bool
-    band: bool
-    has_left_identity: bool
     witnesses: dict[str, LawWitness]
     left_identity: int | None
 
     def holds(self, law: str) -> bool:
         if law not in LAW_NAMES:
             raise InputError(f"unknown law {law!r}")
-        return getattr(self, law)
+        if law == "has_left_identity":
+            return self.left_identity is not None
+        return law not in self.witnesses
+
+    def __getattr__(self, name: str) -> bool:
+        if name not in LAW_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.holds(name)
 
     def to_dict(self, m: GammaMagma | None = None) -> dict:
         return {
-            "laws": {law: getattr(self, law) for law in LAW_NAMES},
+            "laws": {law: self.holds(law) for law in LAW_NAMES},
             "witnesses": {law: w.to_dict(m) for law, w in sorted(self.witnesses.items())},
             "left_identity": self.left_identity,
         }
@@ -268,13 +269,7 @@ def find_left_identity(m: GammaMagma) -> int | None:
 def check_laws(m: GammaMagma) -> LawReport:
     """Exhaustively decide every law, with first-failure witnesses."""
     witnesses = {law: w for law, scan in _SCANS.items() if (w := scan(m)) is not None}
-    e = find_left_identity(m)
-    report = LawReport(
-        **{law: law not in witnesses for law in _SCANS},
-        has_left_identity=e is not None,
-        witnesses=witnesses,
-        left_identity=e,
-    )
+    report = LawReport(witnesses, find_left_identity(m))
     # The invertive law forces mediality, and together with the starred
     # law it forces paramediality; a violation here means a scan is wrong.
     if report.left_invertive and not report.medial:

@@ -28,8 +28,6 @@ from .crisp import is_intra_regular
 
 ISO_MODES = ("elements_only", "elements_and_gamma")
 
-FINDER_PROPERTIES = ("non_factorizable_element", "non_commutative_ag", "ag_not_ag_star_star")
-
 DEFAULT_NODE_BUDGET = 2_000_000
 
 MAX_ORDER = 6
@@ -174,16 +172,29 @@ def _build_magma(t: list[int], n: int, k: int) -> GammaMagma:
     return GammaMagma(order=n, gamma=_gamma_labels(k), tables=tables)
 
 
-def _models(spec: SearchSpec, canonical: bool, property_check=None):
-    """DFS over cell assignments; yields structures in ascending table order."""
+def enumerate_models(spec: SearchSpec):
+    """All structures matching spec, one per isomorphism class, in
+    ascending flat-table order. Raises CapacityError before the search
+    when the isomorphism group or the law instances outnumber the node
+    budget (for the instances a SearchBudgetError with an empty frontier),
+    and SearchBudgetError mid-stream when the node cap runs out."""
     n, k = spec.order, spec.gamma_count
     n2 = n * n
     total = k * n2
     # cells past the table hold the constants 0..n-1 (see _build_instances)
     t = [-1] * total + list(range(n))
+    group = _iso_group(n, k, spec.iso_mode, spec.budget)
+    instances = sum(
+        n ** len(variables) * k**slots
+        for law, (variables, slots, _) in LAW_TERMS.items()
+        if law in spec.laws
+    )
+    if instances > spec.budget:
+        raise SearchBudgetError(
+            f"{instances} law instances exceed node budget {spec.budget}", frontier=(), emitted=0
+        )
     buckets = _build_instances(n, k, spec.laws)
     pending: list[list[tuple]] = [[] for _ in range(total)]
-    group = _iso_group(n, k, spec.iso_mode, spec.budget) if canonical else []
     needs_left_identity = "has_left_identity" in spec.laws
     nodes = 0
     emitted = 0
@@ -225,12 +236,10 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     def rec(depth):
         nonlocal nodes, emitted
         if depth == total:
-            # the existential law and the properties are decided on the
-            # completed structure
+            # the existential law and intra-regularity are decided on
+            # the completed structure
             m = _build_magma(t, n, k)
             if needs_left_identity and find_left_identity(m) is None:
-                return
-            if property_check is not None and not property_check(m):
                 return
             if spec.intra_regular and not is_intra_regular(m):
                 return
@@ -268,18 +277,13 @@ def _models(spec: SearchSpec, canonical: bool, property_check=None):
     yield from rec(0)
 
 
-def enumerate_models(spec: SearchSpec):
-    """All structures matching spec, one per isomorphism class, in
-    ascending flat-table order. Raises SearchBudgetError mid-stream when
-    the node cap runs out."""
-    return _models(spec, canonical=True)
-
-
 _PROPERTY_CHECKS = {
     "non_factorizable_element": (lambda m: not m.every_element_factorizable, 2),
     "non_commutative_ag": (lambda m: check_single_law(m, "commutative") is not None, 3),
     "ag_not_ag_star_star": (lambda m: check_single_law(m, "ag_star_star") is not None, 4),
 }
+
+FINDER_PROPERTIES = tuple(_PROPERTY_CHECKS)
 
 
 def find_counterexample_structure(
@@ -287,7 +291,13 @@ def find_counterexample_structure(
 ) -> GammaMagma | None:
     """Smallest left-invertive single-label structure with the named
     defect, table lexicographically least at that order; None when no
-    order up to the property's cap has one."""
+    order up to the property's cap has one.
+
+    Left invertivity and each defect survive relabelling the elements,
+    so the tables that have both are a union of isomorphism classes, and
+    the least of them is the least member of its own class: the
+    canonical stream, ascending, meets it first (the lex-leader argument
+    of Crawford et al., KR 1996)."""
     if property_name not in _PROPERTY_CHECKS:
         raise InputError(
             f"unknown property {property_name!r}; expected one of {FINDER_PROPERTIES}"
@@ -295,6 +305,7 @@ def find_counterexample_structure(
     check, max_order = _PROPERTY_CHECKS[property_name]
     for order in range(1, max_order + 1):
         spec = SearchSpec(order=order, gamma_count=1, laws=("left_invertive",), budget=budget)
-        for m in _models(spec, canonical=False, property_check=check):
-            return m
+        for m in enumerate_models(spec):
+            if check(m):
+                return m
     return None

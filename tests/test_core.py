@@ -1,17 +1,21 @@
+import dataclasses
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammag
 import oracles
 from gammag import core
 from gammag.core import (
     GammaMagma,
     InputError,
     LAW_NAMES,
+    LawReport,
     LawWitness,
     TERM_PATTERNS,
     canonical_json,
@@ -174,6 +178,33 @@ def test_broken_law_scan_is_caught(ir5, monkeypatch):
         check_laws(ir5)
 
 
+def test_new_law_is_one_row(ir5, ag9, monkeypatch):
+    # flexible, (x a y) b x = x a (y b x): one compiled row, nothing else
+    row = ("xy", 2, ((1, (0, "x", "y"), "x"), (0, "x", (1, "y", "x"))))
+    monkeypatch.setitem(core._SCANS, "flexible", core._compile_scan("flexible", *row))
+    monkeypatch.setattr(core, "LAW_NAMES", (*core.LAW_NAMES, "flexible"))
+    for m in (ir5, ag9):
+        failures = [
+            (x, y, a, b)
+            for x, y in itertools.product(range(m.order), repeat=2)
+            for a, b in itertools.product(m.gamma, repeat=2)
+            if m.apply(m.apply(x, a, y), b, x) != m.apply(x, a, m.apply(y, b, x))
+        ]
+        rep = check_laws(m)
+        assert rep.holds("flexible") == rep.flexible == (not failures)
+        out = rep.to_dict(m)
+        assert out["laws"]["flexible"] == (not failures)
+        if failures:
+            w = rep.witnesses["flexible"]
+            assert w.elements + w.labels == failures[0]
+            assert out["witnesses"]["flexible"] == w.to_dict(m)
+        else:
+            assert "flexible" not in out["witnesses"]
+        with pytest.raises(AttributeError):
+            rep.nonsense
+    assert [f.name for f in dataclasses.fields(LawReport)] == ["witnesses", "left_identity"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_law_implications_on_random_tables(data):
@@ -306,3 +337,24 @@ def test_canonical_json_is_stable():
     b = canonical_json({"a": [2, 3], "b": 1})
     assert a == b
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}'
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+PUBLIC_API = [
+    "CapacityError", "CrispSubset", "FINDER_PROPERTIES", "FUZZY_KINDS", "FuzzySubset",
+    "GammaMagma", "IDEAL_KINDS", "InputError", "IntraWitness", "Lattice", "LawReport",
+    "LawWitness", "REGISTRY", "REGISTRY_ORDER", "SearchBudgetError", "SearchSpec",
+    "SemilatticeReport", "Verdict", "Violation", "characteristic", "check_laws",
+    "classify_fuzzy", "classify_subset", "enumerate_ideals", "enumerate_models",
+    "find_counterexample_structure", "from_base_with_terms", "gamma_product",
+    "integer_op_eval", "intra_regular_witness", "is_intra_regular", "join", "leq",
+    "level_cut", "load_structure", "meet", "semilattice_report", "set_product",
+    "structure_from_dict", "verify", "verify_all",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(gammag.__all__) == PUBLIC_API
+    assert not any(isinstance(getattr(gammag, name), types.ModuleType) for name in gammag.__all__)

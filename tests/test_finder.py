@@ -229,6 +229,21 @@ def test_oversized_isomorphism_group_is_refused(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oversized_law_instances_are_refused(monkeypatch, capsys):
+    # order 4 with 8 labels gives 4^4 * 8^3 = 131072 medial instances:
+    # refused before any is built
+    def unbuilt(*args):
+        raise AssertionError("law instances built before the budget check")
+
+    monkeypatch.setattr(finder, "_build_instances", unbuilt)
+    spec = SearchSpec(order=4, gamma_count=8, laws=("medial",), budget=1000)
+    with pytest.raises(CapacityError, match="131072 law instances exceed node budget 1000"):
+        next(enumerate_models(spec))
+    monkeypatch.setenv("AGG_BUDGET", "1000")
+    assert main(["enumerate", "--order", "4", "--gamma", "8", "--laws", "medial", "--count"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # smallest structures with a named defect
 
@@ -252,35 +267,23 @@ def test_counterexample_structures_frozen():
 
 
 def test_counterexample_structures_are_lex_least():
-    # no smaller left-invertive table at the same order has the defect,
-    # and no smaller order has one at all
-    checks = {
-        "non_factorizable_element": lambda flat, n: any(
-            a not in {flat[b * n + c] for b in range(n) for c in range(n)}
-            for a in range(n)
-        ),
-        "non_commutative_ag": lambda flat, n: any(
-            flat[x * n + y] != flat[y * n + x]
-            for x in range(n)
-            for y in range(n)
-        ),
-        "ag_not_ag_star_star": lambda flat, n: not oracles.law_ag_star_star(
-            flat, n, 1
-        ),
+    # brute force: the least left-invertive one-label table with the
+    # defect, over every table of order 1, 2 and 3 in ascending order
+    defects = {
+        "non_factorizable_element": lambda flat, n: set(flat) != set(range(n)),
+        "non_commutative_ag": lambda flat, n: not oracles.law_commutative(flat, n, 1),
+        "ag_not_ag_star_star": lambda flat, n: not oracles.law_ag_star_star(flat, n, 1),
     }
-    for prop, has_defect in checks.items():
+    assert tuple(defects) == FINDER_PROPERTIES
+    for prop, has_defect in defects.items():
+        least = next(
+            (n, flat)
+            for n in (1, 2, 3)
+            for flat in itertools.product(range(n), repeat=n * n)
+            if oracles.law_left_invertive(flat, n, 1) and has_defect(flat, n)
+        )
         m = find_counterexample_structure(prop)
-        n = m.order
-        found = m.tables[0]
-        for smaller in range(1, n):
-            for flat in itertools.product(range(smaller), repeat=smaller * smaller):
-                if oracles.law_left_invertive(flat, smaller, 1):
-                    assert not has_defect(flat, smaller)
-        for flat in itertools.product(range(n), repeat=n * n):
-            if oracles.law_left_invertive(flat, n, 1) and has_defect(flat, n):
-                first = tuple(tuple(flat[r * n : r * n + n]) for r in range(n))
-                assert first == found
-                break
+        assert (m.order, oracles.magma_flat(m)) == least, prop
 
 
 def test_counterexample_unknown_property():
