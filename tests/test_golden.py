@@ -13,7 +13,7 @@ import oracles
 from gammag import theorems
 from gammag.core import GammaMagma, canonical_json, check_laws
 from gammag.fuzzy import FUZZY_KINDS, Lattice, kind_violation
-from gammag.theorems import DEFAULT_TUPLE_BUDGET, REGISTRY, two_sided_family
+from gammag.theorems import DEFAULT_TUPLE_BUDGET, REGISTRY, sample_subset, two_sided_family
 
 
 def _digest(rows) -> str:
@@ -141,3 +141,13 @@ def test_family_violation_payloads_pinned():
             v = check(m, family)
             rows.append(None if v is None else v.to_dict())
     assert _digest(rows) == "655009df3fe26f1b52a5857478dd4c395033557642235a18063c65ff97727fec"
+
+
+def test_sample_subset_draws_pinned():
+    # orders and dens small enough that one digest covers every member
+    rows = [
+        [sample_subset(seed, counter, order, den).to_dict()
+         for seed in (0, 7, 20100) for counter in range(20) for order in range(1, 10)]
+        for den in range(1, 5)
+    ]
+    assert _digest(rows) == "5c4f4e1a8e8b8d0c96807aa6192bccb2d33d4b84502ab844576e6b563eefe636"
