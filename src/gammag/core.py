@@ -8,6 +8,7 @@ keeps them immutable and cheap to interrogate.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -131,6 +132,14 @@ class GammaMagma:
                     fact[a].append((b, gi, c))
         return tuple(tuple(entries) for entries in fact)
 
+    @cached_property
+    def product_masks(self) -> tuple[tuple[int, ...], ...]:
+        """product_masks[x][y] has bit a set when some label takes x, y to a."""
+        return tuple(
+            tuple(sum({1 << table[x][y] for table in self.tables}) for y in range(self.order))
+            for x in range(self.order)
+        )
+
     @property
     def every_element_factorizable(self) -> bool:
         return all(self.factorizations)
@@ -209,6 +218,23 @@ class LawReport:
         }
 
 
+def _mirror(variables: str, sides: tuple) -> str | None:
+    """A renaming of the variables that swaps the two sides, labels fixed.
+
+    Given as the variables' new names in variable order ("zyx" renames x
+    to z and z to x); None when no renaming does.
+    """
+    def rename(term):
+        return renaming[term] if isinstance(term, str) else (term[0], rename(term[1]), rename(term[2]))
+
+    lhs, rhs = sides
+    for image in itertools.permutations(variables):
+        renaming = dict(zip(variables, image))
+        if rename(lhs) == rhs and rename(rhs) == lhs and all(renaming[w] == v for v, w in renaming.items()):
+            return "".join(image)
+    return None
+
+
 def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     """First-failure scan for one LAW_TERMS row, as generated nested loops.
 
@@ -216,8 +242,23 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     order, so the first failure found is the lexicographically least
     witness. Each product is computed once, at the shallowest loop that
     binds all of its elements and labels.
+
+    A row with a mirror renaming skips every element tuple e that is not
+    lexicographically below its mirror e' (e' gives each variable the
+    value e gives its image). The sides at e' are the sides at e
+    swapped, so e fails exactly when e' does; a tuple equal to its mirror
+    has equal sides; and a failing e above e' is beaten by e' under the
+    same labels. So the least failing tuple is below its mirror and the
+    witness is unchanged.
     """
     body = [[] for _ in range(len(variables) + slots)]
+    mirror = _mirror(variables, sides)
+    if mirror is not None:
+        # compare e with e' from the first variable its renaming moves;
+        # the first position where they differ is the lesser of a pair
+        pairs = [(i, variables.index(v)) for i, v in enumerate(mirror) if variables.index(v) > i]
+        here, there = (", ".join(f"e{p[j]}" for p in pairs) for j in (0, 1))
+        body[max(j for p in pairs for j in p)].append(f"if ({here}) >= ({there}): continue")
     local = {}
 
     def value(term):

@@ -124,43 +124,51 @@ def _check_carrier(m: GammaMagma, a: CrispSubset) -> None:
         raise InputError(f"subset size {a.size} does not match structure order {m.order}")
 
 
+def _mask_product(masks, a: int, b: int) -> int:
+    """Mask of every x g y with x in mask a, y in mask b; masks is m.product_masks."""
+    out = 0
+    for row in masks:
+        if a & 1:
+            rest, y = b, 0
+            while rest:
+                if rest & 1:
+                    out |= row[y]
+                rest >>= 1
+                y += 1
+        a >>= 1
+    return out
+
+
 def set_product(m: GammaMagma, a: CrispSubset, b: CrispSubset) -> CrispSubset:
     """All products x g y with x in a, y in b, over every gamma label."""
     _check_carrier(m, a)
     _check_carrier(m, b)
-    bits = 0
-    xs = a.elements()
-    ys = b.elements()
-    for table in m.tables:
-        for x in xs:
-            row = table[x]
-            for y in ys:
-                bits |= 1 << row[y]
-    return CrispSubset(m.order, bits)
+    return CrispSubset(m.order, _mask_product(m.product_masks, a.bits, b.bits))
 
 
-def _clauses(kind: str) -> tuple[tuple[str, ...], ...]:
-    """The kind as a conjunction of base kinds, each given by its shapes."""
-    return tuple(KIND_SHAPES[part] for part in KIND_PARTS.get(kind, (kind,)))
+class KindProducts(dict):
+    """The products of a subset mask A and the carrier S spelled as in
+    KIND_SHAPES ("SAS" and so on), each computed on first use and shared
+    by every kind asked of A."""
 
+    def __init__(self, m: GammaMagma, a: int):
+        super().__init__(A=a, S=(1 << m.order) - 1)
+        self.masks = m.product_masks
 
-def _shape_product(m: GammaMagma, shape: str, products: dict) -> CrispSubset:
-    """Product spelled by shape; products caches them and starts with A and S."""
-    p = products.get(shape)
-    if p is None:
-        p = products[shape] = set_product(m, _shape_product(m, shape[:-1], products), products[shape[-1]])
-    return p
+    def __missing__(self, shape: str) -> int:
+        p = self[shape] = _mask_product(self.masks, self[shape[:-1]], self[shape[-1]])
+        return p
 
-
-def _has_kind(m: GammaMagma, clauses, products: dict) -> bool:
-    a = products["A"]
-    for shapes in clauses:
-        inside = _shape_product(m, shapes[0], products)
-        for shape in shapes[1:]:
-            inside = inside.intersection(_shape_product(m, shape, products))
-        if not inside.issubset(a):
-            return False
-    return True
+    def has(self, kind: str) -> bool:
+        """Whether the meet of each part's products stays inside A."""
+        outside = ~self["A"]
+        for part in KIND_PARTS.get(kind, (kind,)):
+            inside = -1
+            for shape in KIND_SHAPES[part]:
+                inside &= self[shape]
+            if inside & outside:
+                return False
+        return True
 
 
 def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
@@ -168,8 +176,8 @@ def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
     _check_carrier(m, a)
     if not a:
         raise InputError("classification needs a non-empty subset")
-    products = {"A": a, "S": CrispSubset.full(m.order)}
-    kinds = {kind for kind in IDEAL_KINDS if _has_kind(m, _clauses(kind), products)}
+    products = KindProducts(m, a.bits)
+    kinds = {kind for kind in IDEAL_KINDS if products.has(kind)}
     # Both one-sided products land inside a two-sided ideal, so its
     # intersection does too; a miss here means a product scan is wrong.
     if "two_sided" in kinds and "quasi" not in kinds:
@@ -247,11 +255,4 @@ def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
         )
     if kind not in IDEAL_KINDS:
         raise InputError(f"unknown ideal kind {kind!r}; expected one of {IDEAL_KINDS}")
-    clauses = _clauses(kind)
-    s = CrispSubset.full(m.order)
-    found = []
-    for bits in range(1, 1 << m.order):
-        a = CrispSubset(m.order, bits)
-        if _has_kind(m, clauses, {"A": a, "S": s}):
-            found.append(a)
-    return found
+    return [CrispSubset(m.order, a) for a in range(1, 1 << m.order) if KindProducts(m, a).has(kind)]

@@ -13,11 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
 from .core import GammaMagma, InputError
-from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset
+from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -152,41 +152,21 @@ class KindWitness(NamedTuple):
     rhs: Fraction
 
 
-def _two_factor_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
-    """First (x, y, g) with f(x g y) below f at the A factors of shape."""
+def _product_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
+    """First elements, then labels, with f of the product (bracketed to the
+    left) below f at the A factors of shape, e.g. f((x a y) b z) < min f(x), f(z)."""
     den, num = f.scaled
     # bound weights per factor; an S factor weighs den, membership 1
-    wx, wy = (num if c == "A" else (den,) * m.order for c in shape)
-    rng = range(m.order)
-    for x in rng:
-        bx = wx[x]
-        for y in rng:
-            bound = wy[y] if wy[y] < bx else bx
-            for gi, table in enumerate(m.tables):
-                xy = table[x][y]
-                if num[xy] < bound:
-                    return KindWitness((x, y), (m.gamma[gi],), "geq", f.values[xy], Fraction(bound, den))
-    return None
-
-
-def _three_factor_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
-    """First (x, y, z, a, b) with f((x a y) b z) below f at the A factors of shape."""
-    den, num = f.scaled
-    wx, wy, wz = (num if c == "A" else (den,) * m.order for c in shape)
-    rng = range(m.order)
-    for x in rng:
-        bx = wx[x]
-        for y in rng:
-            by = wy[y] if wy[y] < bx else bx
-            for z in rng:
-                bound = wz[z] if wz[z] < by else by
-                for ai, ta in enumerate(m.tables):
-                    xy = ta[x][y]
-                    for bi, tb in enumerate(m.tables):
-                        xyz = tb[xy][z]
-                        if num[xyz] < bound:
-                            labels = (m.gamma[ai], m.gamma[bi])
-                            return KindWitness((x, y, z), labels, "geq", f.values[xyz], Fraction(bound, den))
+    weights = [num if c == "A" else (den,) * m.order for c in shape]
+    for elements in itertools.product(range(m.order), repeat=len(shape)):
+        bound = min(w[e] for w, e in zip(weights, elements))
+        for labels in itertools.product(range(len(m.tables)), repeat=len(shape) - 1):
+            v = elements[0]
+            for gi, e in zip(labels, elements[1:]):
+                v = m.tables[gi][v][e]
+            if num[v] < bound:
+                names = tuple(m.gamma[gi] for gi in labels)
+                return KindWitness(elements, names, "geq", f.values[v], Fraction(bound, den))
     return None
 
 
@@ -229,65 +209,73 @@ def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     shapes = KIND_SHAPES[kind]
     if len(shapes) > 1:
         return _composite_violation(m, f, shapes)
-    if len(shapes[0]) == 2:
-        return _two_factor_violation(m, f, shapes[0])
-    return _three_factor_violation(m, f, shapes[0])
+    return _product_violation(m, f, shapes[0])
+
+
+def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
+    """The named fuzzy kinds f has, decided on its level cuts.
+
+    f has a kind exactly when every non-empty level cut has the crisp
+    kind: the decomposition theorem (Mordeson, Malik & Kuroki, Fuzzy
+    Semigroups, 2003, ch. 2), as the cut of a composition is the product
+    of the cuts. For idempotent, the cut test is A A == A. Only the named
+    kinds are computed, sharing the products of each cut.
+    """
+    _check_carrier(m, f)
+    held = set(kinds)
+    unknown = held.difference(FUZZY_KINDS)
+    if unknown:
+        raise InputError(f"unknown fuzzy kind {min(unknown)!r}; expected one of {FUZZY_KINDS}")
+    by_value = {}
+    for i, v in enumerate(f.scaled[1]):
+        if v:
+            by_value[v] = by_value.get(v, 0) | 1 << i
+    cut = 0
+    for v in sorted(by_value, reverse=True):  # cuts from the top value down
+        cut |= by_value[v]
+        products = KindProducts(m, cut)
+        held = {k for k in held if (products["AA"] == cut if k == "idempotent" else products.has(k))}
+        if not held:
+            break
+    return held
 
 
 def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
-    """First pointwise failure of the kind constraint, or None if it holds."""
-    _check_carrier(m, f)
-    if kind not in FUZZY_KINDS:
-        raise InputError(f"unknown fuzzy kind {kind!r}; expected one of {FUZZY_KINDS}")
-    return _violation(m, f, kind)
+    """First pointwise failure of the kind constraint, or None if it holds.
+
+    The level cuts decide; the pointwise scan runs only on a failure, to
+    build the witness.
+    """
+    if kind in kinds_on_cuts(m, f, (kind,)):
+        return None
+    w = _violation(m, f, kind)
+    if w is None:
+        raise AssertionError(f"a level cut fails {kind} but the pointwise scan finds no failure")
+    return w
 
 
-def is_fuzzy_subgroupoid(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "subgroupoid") is None
+def has_fuzzy_kind(m: GammaMagma, f: FuzzySubset, kind: str) -> bool:
+    return kind in kinds_on_cuts(m, f, (kind,))
 
 
-def is_fuzzy_left(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "left") is None
-
-
-def is_fuzzy_right(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "right") is None
-
-
-def is_fuzzy_generalized_bi(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "generalized_bi") is None
-
-
-def is_fuzzy_interior(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "interior") is None
-
-
-def is_fuzzy_quasi(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "quasi") is None
-
-
-def is_fuzzy_idempotent(m: GammaMagma, f: FuzzySubset) -> bool:
-    return _violation(m, f, "idempotent") is None
+# one predicate per kind the table spells, each deciding on the level cuts
+is_fuzzy_subgroupoid = partial(has_fuzzy_kind, kind="subgroupoid")
+is_fuzzy_left = partial(has_fuzzy_kind, kind="left")
+is_fuzzy_right = partial(has_fuzzy_kind, kind="right")
+is_fuzzy_generalized_bi = partial(has_fuzzy_kind, kind="generalized_bi")
+is_fuzzy_interior = partial(has_fuzzy_kind, kind="interior")
+is_fuzzy_quasi = partial(has_fuzzy_kind, kind="quasi")
+is_fuzzy_idempotent = partial(has_fuzzy_kind, kind="idempotent")
 
 
 def classify_fuzzy(m: GammaMagma, f: FuzzySubset) -> set[str]:
     """Every fuzzy kind f satisfies, including composition idempotence."""
-    _check_carrier(m, f)
-    # each base kind is decided by its is_fuzzy_<kind> predicate, looked
-    # up by name at call time so a wrapped predicate sees every call
-    predicates = globals()
-    holds = {kind: predicates[f"is_fuzzy_{kind}"](m, f) for kind in (*KIND_SHAPES, "idempotent")}
-    holds.update({kind: all(holds[part] for part in parts) for kind, parts in KIND_PARTS.items()})
-    kinds = {kind for kind, ok in holds.items() if ok}
+    kinds = kinds_on_cuts(m, f, FUZZY_KINDS)
     # Two-sided forces both one-sided compositions below f, hence their
     # pointwise min too; a miss here means a product path is wrong.
     if "two_sided" in kinds and "quasi" not in kinds:
         raise AssertionError("two-sided fuzzy ideal that is not a fuzzy quasi-ideal")
     return kinds
-
-
-def has_fuzzy_kind(m: GammaMagma, f: FuzzySubset, kind: str) -> bool:
-    return kind_violation(m, f, kind) is None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .fuzzy import (
     gamma_product,
     has_fuzzy_kind,
     kind_violation,
+    kinds_on_cuts,
     leq,
     meet,
 )
@@ -63,17 +64,27 @@ def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
 
     Keyed hashing makes the stream splittable: any (seed, counter) pair
     can be evaluated independently, with no sequential generator state.
+    One 256-bit digest gives the first e members, e the most base-(den+1)
+    digits it holds in full; each later block of e members comes from a
+    digest keyed with the block's index as well.
     """
-    h = hashlib.blake2b(
-        f"{seed}:{counter}:{den}".encode(), digest_size=32, person=b"lattice-sample"
-    )
-    v = int.from_bytes(h.digest(), "big")
     base = den + 1
+    per_digest = _digits_per_digest(base)
     values = []
-    for _ in range(order):
-        v, r = divmod(v, base)
-        values.append(Fraction(r, den))
+    for block in range(-(-order // per_digest)):
+        key = f"{seed}:{counter}:{den}" + (f":{block}" if block else "")
+        h = hashlib.blake2b(key.encode(), digest_size=32, person=b"lattice-sample")
+        v = int.from_bytes(h.digest(), "big")
+        for _ in range(min(per_digest, order - len(values))):
+            v, r = divmod(v, base)
+            values.append(Fraction(r, den))
     return FuzzySubset(tuple(values))
+
+
+@cache
+def _digits_per_digest(base: int) -> int:
+    """Largest e with base**e <= 2**256."""
+    return next(e for e in itertools.count() if base ** (e + 1) > 1 << 256)
 
 
 @dataclass(frozen=True)
@@ -478,14 +489,15 @@ def _coincide(conditions):
     """Checker for a "coincide" row: every condition is decided, then the
     first that holds is set against the first that fails."""
     parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(eq) for eq in c[1]]) for c in conditions]
+    kinds = [c for c in conditions if isinstance(c, str)]
 
     def check(m, *fs):
         f = fs[0]
-        found = []  # per condition: (holds, kind witness or evaluated sides)
+        held = kinds_on_cuts(m, f, kinds)
+        found = []  # per condition: (holds, evaluated sides of its equations)
         for name, equations in parts:
             if equations is None:
-                w = kind_violation(m, f, name)
-                found.append((w is None, w))
+                found.append((name in held, None))
             else:
                 sides = [(ln, lv(m, fs), rn, rv(m, fs)) for ln, lv, rn, rv in equations]
                 found.append((all(lhs == rhs for _, lhs, _, rhs in sides), sides))
@@ -496,7 +508,8 @@ def _coincide(conditions):
         (true_name, true_eqs), (false_name, false_eqs) = parts[t], parts[u]
         if false_eqs is None:
             derived = (("f", f),) if true_eqs is None else [(ln, lhs) for ln, lhs, _, _ in found[t][1]]
-            return _kind_failure(f"{true_name} but not {false_name}", fs, derived, false_name, found[u][1])
+            w = kind_violation(m, f, false_name)
+            return _kind_failure(f"{true_name} but not {false_name}", fs, derived, false_name, w)
         ln, lhs, rn, rhs = next(s for s in found[u][1] if s[1] != s[3])
         return _eq_check(f"{true_name} but {ln} != {rn}", fs, ln, lhs, rn, rhs)
 
@@ -507,8 +520,14 @@ def _pre_filter(spec):
     """Membership test for one quantified position; None for no filter."""
     if not spec:
         return None
-    alternatives = [alt.split("&") for alt in spec.split("|")]
-    return lambda m, f: any(all(has_fuzzy_kind(m, f, k) for k in kinds) for kinds in alternatives)
+    alternatives = [set(alt.split("&")) for alt in spec.split("|")]
+    named = set().union(*alternatives)
+
+    def test(m, f):
+        held = kinds_on_cuts(m, f, named)
+        return any(kinds <= held for kinds in alternatives)
+
+    return test
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,60 @@ def test_witnesses_are_lexicographically_first(ag9):
     assert w.render(ag9)  # render stays printable
 
 
+def _least_failure(m, law):
+    """Least failing (elements, labels) of a LAW_TERMS row by a plain loop, with both sides."""
+    variables, slots, (lhs, rhs) = core.LAW_TERMS[law]
+
+    def value(term, env, labels):
+        if isinstance(term, str):
+            return env[term]
+        g, left, right = term
+        return m.tables[labels[g]][value(left, env, labels)][value(right, env, labels)]
+
+    for elements in itertools.product(range(m.order), repeat=len(variables)):
+        env = dict(zip(variables, elements))
+        for labels in itertools.product(range(len(m.gamma)), repeat=slots):
+            a, b = value(lhs, env, labels), value(rhs, env, labels)
+            if a != b:
+                return elements, tuple(m.gamma[g] for g in labels), a, b
+    return None
+
+
+def test_law_scans_find_the_least_failure():
+    # every order-2 table with 1-2 labels, and seeded order-3 ones with 1-3
+    structures = [
+        GammaMagma(order=2, gamma=tuple("ab"[:k]), tables=tuple(
+            (flat[4 * g:4 * g + 2], flat[4 * g + 2:4 * g + 4]) for g in range(k)))
+        for k in (1, 2)
+        for flat in itertools.product(range(2), repeat=4 * k)
+    ]
+    rng = random.Random(20107)
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        tables = tuple(tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)) for _ in range(k))
+        structures.append(GammaMagma(order=3, gamma=tuple("abc"[:k]), tables=tables))
+    for m in structures:
+        witnesses = check_laws(m).witnesses
+        for law in core.LAW_TERMS:
+            w = witnesses.get(law)
+            got = None if w is None else (w.elements, w.labels, w.lhs, w.rhs)
+            assert got == _least_failure(m, law), (m.tables, law)
+
+
+def test_mirror_renamings():
+    # the renamings that swap the two sides, which the law scans prune by
+    want = {
+        "left_invertive": "zyx",
+        "medial": "wyxz",
+        "ag_star_star": "yxz",
+        "paramedial": "zyxw",
+        "commutative": "yx",
+        "associative": None,
+        "band": None,
+    }
+    assert {law: core._mirror(row[0], row[2]) for law, row in core.LAW_TERMS.items()} == want
+
+
 def test_single_law_matches_report(ir5, ag9):
     for m in (ir5, ag9):
         rep = check_laws(m)

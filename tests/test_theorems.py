@@ -398,6 +398,12 @@ def test_sample_subset_frozen_values():
     assert sample_subset(8, 0, 5, 4) != f0
 
 
+def test_sample_subset_fills_members_past_one_digest():
+    # 120 members at den 4 need 279 bits, more than one 256-bit digest holds
+    last = {sample_subset(seed, 0, 120, 4).values[-1] * 4 for seed in range(200)}
+    assert last == {0, 1, 2, 3, 4}
+
+
 # ---------------------------------------------------------------------------
 # two-sided families and the semilattice report
 
