@@ -153,8 +153,8 @@ class KindWitness(NamedTuple):
 
 
 def _product_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness | None:
-    """First elements, then labels, with f of the product (bracketed to the
-    left) below f at the A factors of shape, e.g. f((x a y) b z) < min f(x), f(z)."""
+    """First elements, then labels, where f of the product bracketed to the left
+    falls below f at the A factors of shape; for "ASA", f((x a y) b z) < f(x) ^ f(z)."""
     den, num = f.scaled
     # bound weights per factor; an S factor weighs den, membership 1
     weights = [num if c == "A" else (den,) * m.order for c in shape]
