@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.resources
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from .core import (
     canonical_json,
     check_laws,
     load_structure,
-    structure_from_dict,
+    read_json,
 )
 from .crisp import (
     IDEAL_KINDS,
@@ -43,22 +42,15 @@ def _emit(obj) -> None:
 
 
 def _resolve_structure(arg: str) -> GammaMagma:
-    p = Path(arg)
-    if p.exists():
-        return load_structure(p)
+    if Path(arg).exists():
+        return load_structure(arg)
     if arg in CORPUS_NAMES:
-        res = importlib.resources.files("gammag").joinpath("corpus", f"{arg}.json")
-        return structure_from_dict(json.loads(res.read_text()))
+        return load_structure(importlib.resources.files("gammag").joinpath("corpus", f"{arg}.json"))
     raise InputError(f"no such structure file or corpus name: {arg}")
 
 
 def _load_fuzzy(path: str, order: int):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot parse fuzzy subset file {path}: {exc}") from None
-    return fuzzy_from_dict(data, order=order)
+    return fuzzy_from_dict(read_json(path, "fuzzy subset"), order=order)
 
 
 def cmd_check(args) -> int:
@@ -120,19 +112,14 @@ def _parse_mode(text: str):
     parts = text.split(":")
     if len(parts) == 3 and parts[0] == "sampled":
         try:
-            seed, samples = int(parts[1]), int(parts[2])
+            return "sampled", int(parts[1]), int(parts[2])
         except ValueError:
             raise InputError(f"bad sampled mode {text!r}; want sampled:SEED:N") from None
-        if samples < 1:
-            raise InputError("sample count must be positive")
-        return "sampled", seed, samples
     raise InputError(f"unknown mode {text!r}; want exhaustive or sampled:SEED:N")
 
 
 def cmd_verify(args) -> int:
     m = _resolve_structure(args.structure)
-    if args.lattice < 1:
-        raise InputError("lattice denominator must be positive")
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     lattice = Lattice(args.lattice)
@@ -248,9 +235,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,40 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds its configured budget or cap."""
 
 
+def positive_int(value, what: str, most: int | None = None) -> int:
+    """value, when it is an int (not a bool) in 1..most; else InputError."""
+    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value and (most is None or value <= most):
+        return value
+    raise InputError(f"{what} must be " + ("a positive integer" if most is None else f"an integer in 1..{most}"))
+
+
+def json_fields(d, what: str, required: tuple, optional: tuple = ()) -> tuple:
+    """The required fields of the JSON object d, once it is known to hold
+    every required key and no key outside required and optional."""
+    if not isinstance(d, dict):
+        raise InputError(f"{what} must be a JSON object")
+    unknown = set(d).difference(required, optional)
+    if unknown:
+        raise InputError(f"unknown {what} keys {sorted(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise InputError(f"{what} missing key {missing[0]!r}")
+    return tuple(d[key] for key in required)
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at path, read as UTF-8 text.
+
+    Every input file is read here. One that cannot be read, is not UTF-8,
+    is not JSON, nests past the parser's recursion limit or holds an
+    integer past the interpreter's digit limit raises InputError.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} file {path} as UTF-8 JSON: {exc}") from None
+
+
 # One row per equational law: its variables, its number of label slots,
 # and its two sides. A term is a variable or (label_slot, left, right);
 # slot i is the i-th label of a witness. Adding a law is adding a row.
@@ -67,8 +101,7 @@ class GammaMagma:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
-            raise InputError("order must be a positive integer")
+        positive_int(self.order, "order")
         gamma = tuple(self.gamma)
         if not gamma:
             raise InputError("gamma label set must be non-empty")
@@ -375,17 +408,7 @@ def integer_op_eval(a: int, beta: int, b: int, z: int) -> int:
 
 def structure_from_dict(d: dict) -> GammaMagma:
     """Parse the structure JSON object layout, validating shape and closure."""
-    if not isinstance(d, dict):
-        raise InputError("structure must be a JSON object")
-    unknown = set(d) - {"order", "gamma", "tables", "labels"}
-    if unknown:
-        raise InputError(f"unknown structure keys {sorted(unknown)}")
-    try:
-        order = d["order"]
-        gamma = d["gamma"]
-        tables = d["tables"]
-    except KeyError as exc:
-        raise InputError(f"structure missing key {exc.args[0]!r}") from None
+    order, gamma, tables = json_fields(d, "structure", ("order", "gamma", "tables"), ("labels",))
     if not isinstance(gamma, list) or not all(isinstance(g, str) for g in gamma):
         raise InputError("gamma must be a list of label strings")
     if not isinstance(tables, dict):
@@ -403,17 +426,7 @@ def structure_from_dict(d: dict) -> GammaMagma:
 
 
 def load_structure(path) -> GammaMagma:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read structure file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"structure file {path} is not UTF-8 text: {exc}") from None
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"structure file {path} is not valid JSON: {exc}") from None
-    return structure_from_dict(data)
+    return structure_from_dict(read_json(path, "structure"))
 
 
 def canonical_json(obj) -> str:

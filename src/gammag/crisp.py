@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapacityError, GammaMagma, InputError
+from .core import CapacityError, GammaMagma, InputError, positive_int
 
 IDEAL_KINDS = (
     "subgroupoid",
@@ -54,8 +54,7 @@ class CrispSubset:
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise InputError("subset carrier size must be a positive integer")
+        positive_int(self.size, "subset carrier size")
         if not isinstance(self.bits, int) or self.bits < 0 or self.bits >= 1 << self.size:
             raise InputError(f"bitmask {self.bits!r} out of range for size {self.size}")
 

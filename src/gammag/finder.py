@@ -21,8 +21,10 @@ from .core import (
     InputError,
     LAW_NAMES,
     LAW_TERMS,
+    _mirror,
     check_single_law,
     find_left_identity,
+    positive_int,
 )
 from .crisp import is_intra_regular
 
@@ -53,18 +55,15 @@ class SearchSpec:
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if not 1 <= self.order <= MAX_ORDER:
-            raise InputError(f"order must be in 1..{MAX_ORDER}, got {self.order}")
-        if not 1 <= self.gamma_count <= 26:
-            raise InputError(f"gamma_count must be in 1..26, got {self.gamma_count}")
+        positive_int(self.order, "order", MAX_ORDER)
+        positive_int(self.gamma_count, "gamma_count", 26)
         object.__setattr__(self, "laws", tuple(sorted(set(self.laws))))
         unknown = [law for law in self.laws if law not in LAW_NAMES]
         if unknown:
             raise InputError(f"unknown laws: {', '.join(unknown)}")
         if self.iso_mode not in ISO_MODES:
             raise InputError(f"iso_mode must be one of {ISO_MODES}, got {self.iso_mode!r}")
-        if self.budget < 1:
-            raise InputError("budget must be positive")
+        positive_int(self.budget, "budget")
 
 
 def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]:
@@ -81,21 +80,13 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     buckets[c] holds the instances whose last statically known table cell
     is c; cells that depend on values are chased dynamically via the
     pending lists. An instance whose two sides are the same triple always
-    holds, and one whose side swap is already in is the same equation;
-    both are dropped. The side swap maps left invertive (x, y, z) to
-    (z, y, x), AG** (x, y, z) and commutative (x, y) to (y, x, ...),
-    medial (w, x, y, z) to (w, y, x, z) and paramedial (w, x, y, z) to
-    (z, y, x, w), labels fixed; associative and band have no swapped
-    pairs. So this keeps the equations that the filters x < z (left
-    invertive), x < y (AG**, medial, commutative) and (w, x, y, z, a, g)
-    < (z, y, x, w, g, a) (paramedial) keep. The last one swaps the labels
-    a and g too, but it decides on (w, x, y, z) unless w = z and x = y,
-    where both sides are equal. Only instances that always hold differ,
-    so the search prunes exactly the same nodes."""
+    holds and is dropped. A row with a mirror renaming (core._mirror)
+    keeps only the element tuples below their mirror, as its law scan
+    does: the instance at the mirror tuple is the same equation with its
+    sides swapped, and a tuple equal to its mirror has equal sides."""
     n2 = n * n
     total = k * n2
     buckets: list[list[tuple]] = [[] for _ in range(total)]
-    seen = set()
 
     def cell(term, env, labels):
         # a variable, or a product of two variables (else a KeyError)
@@ -113,13 +104,15 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     for law, (variables, slots, (lhs, rhs)) in LAW_TERMS.items():
         if law not in laws:
             continue
+        image = [variables.index(v) for v in _mirror(variables, (lhs, rhs)) or ""]
         for elements in itertools.product(range(n), repeat=len(variables)):
+            if image and elements >= tuple(elements[i] for i in image):
+                continue
             env = dict(zip(variables, elements))
             for labels in itertools.product(range(k), repeat=slots):
                 s1, s2 = side(lhs, env, labels), side(rhs, env, labels)
-                if s1 == s2 or (s2, s1) in seen:
+                if s1 == s2:
                     continue
-                seen.add((s1, s2))
                 static = [c for b, p, q in (s1, s2) for c in ((b,) if p == q == total else (p, q))]
                 buckets[max(c for c in static if c < total)].append(s1 + s2)
     return buckets

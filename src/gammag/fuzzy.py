@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
-from .core import GammaMagma, InputError
+from .core import GammaMagma, InputError, json_fields, positive_int
 from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
 
 ZERO = Fraction(0)
@@ -285,8 +285,7 @@ class Lattice:
     den: int
 
     def __post_init__(self):
-        if not isinstance(self.den, int) or isinstance(self.den, bool) or self.den < 1:
-            raise InputError("lattice denominator must be a positive integer")
+        positive_int(self.den, "lattice denominator")
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(i, self.den) for i in range(self.den + 1))
@@ -296,8 +295,7 @@ class Lattice:
 
     def subsets(self, order: int):
         """All lattice-valued subsets, first element varying slowest."""
-        if order < 1:
-            raise InputError("order must be a positive integer")
+        positive_int(order, "order")
         for values in itertools.product(self.values(), repeat=order):
             yield FuzzySubset(values)
 
@@ -307,18 +305,8 @@ class Lattice:
 
 def fuzzy_from_dict(d: dict, order: int | None = None) -> FuzzySubset:
     """Parse the {"den": d, "num": [...]} layout with strict bounds checks."""
-    if not isinstance(d, dict):
-        raise InputError("fuzzy subset must be a JSON object")
-    unknown = set(d) - {"den", "num"}
-    if unknown:
-        raise InputError(f"unknown fuzzy subset keys {sorted(unknown)}")
-    try:
-        den = d["den"]
-        num = d["num"]
-    except KeyError as exc:
-        raise InputError(f"fuzzy subset missing key {exc.args[0]!r}") from None
-    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-        raise InputError("den must be a positive integer")
+    den, num = json_fields(d, "fuzzy subset", ("den", "num"))
+    positive_int(den, "den")
     if not isinstance(num, list) or not num:
         raise InputError("num must be a non-empty list of integers")
     for n in num:

@@ -19,7 +19,7 @@ from functools import cache
 from typing import Callable
 from weakref import WeakKeyDictionary
 
-from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws
+from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws, positive_int
 from .crisp import is_intra_regular
 from .fuzzy import (
     FuzzySubset,
@@ -52,11 +52,6 @@ def structure_hypotheses(m: GammaMagma) -> dict:
             "every_element_factorizable": m.every_element_factorizable,
         }
     return hyps
-
-
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
 
 
 def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
@@ -186,7 +181,7 @@ def _ones(order: int) -> FuzzySubset:
 
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
-    _check_budget(budget)
+    positive_int(budget, "budget")
     total = lattice.count(m.order)
     if total > budget:
         raise CapacityError(
@@ -640,6 +635,20 @@ def _sampled_tuples(m, entry, lattice, seed, samples, budget):
             yield fs
 
 
+def _check_request(lattice, mode, seed, samples, budget) -> None:
+    """Reject a malformed verify request before any work starts."""
+    if mode not in ("exhaustive", "sampled"):
+        raise InputError(f"unknown mode {mode!r}; expected exhaustive or sampled")
+    if mode == "sampled":
+        if seed is None:
+            raise InputError("sampled mode needs a seed")
+        positive_int(samples, "sample count")
+        # sample_subset takes at least one base den + 1 digit per 256-bit digest
+        if lattice.den >= 1 << 256:
+            raise InputError("sampled mode needs a lattice denominator below 2**256")
+    positive_int(budget, "budget")
+
+
 def verify(
     m: GammaMagma,
     theorem_id: str,
@@ -659,12 +668,7 @@ def verify(
         entry = REGISTRY[theorem_id]
     except KeyError:
         raise InputError(f"unknown theorem id {theorem_id!r}") from None
-    if mode not in ("exhaustive", "sampled"):
-        raise InputError(f"unknown mode {mode!r}; expected exhaustive or sampled")
-    if mode == "sampled":
-        if seed is None or samples is None or samples < 1:
-            raise InputError("sampled mode needs a seed and a positive sample count")
-    _check_budget(budget)
+    _check_request(lattice, mode, seed, samples, budget)
     hyps = structure_hypotheses(m)
     failed = tuple(h for h in entry.hypotheses if not hyps[h])
     if failed:
@@ -704,9 +708,7 @@ def _verify_task(args):
 
 def _worker_count(jobs: int) -> int:
     """Worker processes for verify_all: at most one per id and one per CPU."""
-    if jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, len(REGISTRY_ORDER), os.cpu_count() or 1)
+    return min(positive_int(jobs, "jobs"), len(REGISTRY_ORDER), os.cpu_count() or 1)
 
 
 def verify_all(
@@ -719,7 +721,7 @@ def verify_all(
     jobs: int = 1,
 ) -> dict[str, Verdict]:
     """Run every registered id; capacity errors are recorded, not raised."""
-    _check_budget(budget)
+    _check_request(lattice, mode, seed, samples, budget)
     workers = _worker_count(jobs)
     tasks = [(m, tid, lattice, mode, seed, samples, budget) for tid in REGISTRY_ORDER]
     if workers > 1:
@@ -771,7 +773,6 @@ class SemilatticeReport:
 
 def semilattice_report(m: GammaMagma, lattice: Lattice, budget: int = DEFAULT_TUPLE_BUDGET) -> SemilatticeReport:
     """Exhaustive semilattice audit of the lattice-valued two-sided family."""
-    _check_budget(budget)
     hyps = structure_hypotheses(m)
     missing = [h for h in REGISTRY["semi1"].hypotheses if not hyps[h]]
     if missing:

@@ -220,7 +220,10 @@ def test_fuzzy_bad_vector(capsys, tmp_path):
     utf16.write_bytes(b"\xff\xfe" + '{"den": 1}'.encode("utf-16-le"))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    for path in (utf16, deep):
+    # past the interpreter's 4,300-digit limit on integer parsing
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"den": ' + "9" * 5001 + ', "num": [1]}')
+    for path in (utf16, deep, long_int):
         code, out, err = run(capsys, "fuzzy", "classify", "ir5", str(path))
         assert code == 2 and out == "" and err.startswith("error:")
         code, out, err = run(capsys, "check", str(path))
@@ -291,6 +294,11 @@ def test_verify_unknown_theorem(capsys):
 def test_verify_bad_lattice(capsys):
     code, _, _ = run(capsys, "verify", "ir5", "--theorem", "sf", "--lattice", "0")
     assert code == 2
+    # a sampled draw takes each member from a 256-bit digest
+    code, out, err = run(
+        capsys, "verify", "ir5", "--theorem", "sf", "--lattice", str(2**256), "--mode", "sampled:1:1"
+    )
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_all_mixed_statuses_prefer_counterexample(capsys, m2_file):

@@ -372,6 +372,11 @@ def test_load_structure_errors(tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(InputError):
         load_structure(deep)
+    # an integer past the interpreter's 4,300-digit parsing limit
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"order": ' + "9" * 5001 + "}")
+    with pytest.raises(InputError):
+        load_structure(long_int)
     # wrongly typed labels, gamma entries, tables and rows
     good = {"order": 2, "gamma": ["a"], "tables": {"a": [[0, 0], [0, 0]]}}
     for bad_part in (

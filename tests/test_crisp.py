@@ -40,6 +40,8 @@ def test_subset_validation():
     with pytest.raises(InputError):
         CrispSubset(0, 0)
     with pytest.raises(InputError):
+        CrispSubset(True, 1)
+    with pytest.raises(InputError):
         CrispSubset(3, 8)
     with pytest.raises(InputError):
         CrispSubset.from_elements(3, [3])

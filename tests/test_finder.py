@@ -5,7 +5,7 @@ import pytest
 import oracles
 from gammag import finder
 from gammag.cli import main
-from gammag.core import CapacityError, GammaMagma, InputError, check_laws
+from gammag.core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws
 from gammag.crisp import is_intra_regular
 from gammag.finder import (
     FINDER_PROPERTIES,
@@ -41,6 +41,10 @@ def test_spec_validation():
         SearchSpec(order=2, iso_mode="none")
     with pytest.raises(InputError):
         SearchSpec(order=2, budget=0)
+    with pytest.raises(InputError):
+        SearchSpec(order=2.5)
+    with pytest.raises(InputError):
+        SearchSpec(order=2, budget=True)
     spec = SearchSpec(order=2, laws=("medial", "left_invertive", "medial"))
     assert spec.laws == ("left_invertive", "medial")
 
@@ -118,6 +122,53 @@ def test_two_label_counts_match_factored_oracle():
 def test_pool_totals(li_models_small, ss_models_small):
     assert len(li_models_small) == 219
     assert len(ss_models_small) == 105
+
+
+def _seen_set_instances(n, k, laws):
+    """Law instance buckets built with a set of the equations kept so far:
+    an instance is dropped when its two sides are equal or when its side
+    swap is already in the set."""
+    n2 = n * n
+    total = k * n2
+    buckets = [[] for _ in range(total)]
+    seen = set()
+
+    def cell(term, env, labels):
+        if isinstance(term, str):
+            return total + env[term]
+        g, left, right = term
+        return labels[g] * n2 + env[left] * n + env[right]
+
+    def side(term, env, labels):
+        if isinstance(term, str) or all(isinstance(op, str) for op in term[1:]):
+            return (cell(term, env, labels), total, total)
+        g, left, right = term
+        return (labels[g] * n2, cell(left, env, labels), cell(right, env, labels))
+
+    for law, (variables, slots, (lhs, rhs)) in LAW_TERMS.items():
+        if law not in laws:
+            continue
+        for elements in itertools.product(range(n), repeat=len(variables)):
+            env = dict(zip(variables, elements))
+            for labels in itertools.product(range(k), repeat=slots):
+                s1, s2 = side(lhs, env, labels), side(rhs, env, labels)
+                if s1 == s2 or (s2, s1) in seen:
+                    continue
+                seen.add((s1, s2))
+                static = [c for b, p, q in (s1, s2) for c in ((b,) if p == q == total else (p, q))]
+                buckets[max(c for c in static if c < total)].append(s1 + s2)
+    return buckets
+
+
+def test_mirror_rule_keeps_the_seen_set_buckets():
+    # the same instances in the same buckets and order, law by law
+    cases = 0
+    for law, (variables, slots, _) in LAW_TERMS.items():
+        for n, k in itertools.product(range(1, 5), range(1, 4)):
+            if n ** len(variables) * k**slots <= 200_000:
+                assert finder._build_instances(n, k, (law,)) == _seen_set_instances(n, k, (law,)), (law, n, k)
+                cases += 1
+    assert cases == 84
 
 
 # ---------------------------------------------------------------------------

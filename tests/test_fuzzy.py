@@ -73,15 +73,25 @@ def test_product_matches_naive_exhaustive(ir5):
         assert got.values == oracles.naive_gamma_product(ir5, f.values, g.values)
 
 
-def test_product_matches_naive_random(ir5, ag9, m2):
+def test_product_matches_naive_random(ir5, ag9, m2, li_models_small):
     rng = random.Random(411)
+
+    def draw(order, den):
+        return FuzzySubset(tuple(Fraction(rng.randint(0, den), den) for _ in range(order)))
+
+    # one den for both factors on the corpus, two different dens on the small models
+    pairs = []
     for m in (ir5, ag9, m2):
         for _ in range(120):
             den = rng.choice((2, 3, 5, 7))
-            f = FuzzySubset(tuple(Fraction(rng.randint(0, den), den) for _ in range(m.order)))
-            g = FuzzySubset(tuple(Fraction(rng.randint(0, den), den) for _ in range(m.order)))
-            got = gamma_product(m, f, g)
-            assert got.values == oracles.naive_gamma_product(m, f.values, g.values)
+            pairs.append((m, draw(m.order, den), draw(m.order, den)))
+    for m in li_models_small:
+        for _ in range(4):
+            den_f, den_g = rng.sample((2, 3, 5, 7), 2)
+            pairs.append((m, draw(m.order, den_f), draw(m.order, den_g)))
+    for m, f, g in pairs:
+        got = gamma_product(m, f, g)
+        assert got.values == oracles.naive_gamma_product(m, f.values, g.values)
 
 
 def test_product_carrier_mismatch(ir5):

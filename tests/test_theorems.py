@@ -171,7 +171,13 @@ def test_verify_rejects_bad_arguments(ir5):
         verify(ir5, "sf", lat, mode="sampled", samples=10)
     with pytest.raises(InputError):
         verify(ir5, "sf", lat, mode="sampled", seed=1)
-    for budget in (0, -1):
+    with pytest.raises(InputError):
+        verify(ir5, "sf", lat, mode="sampled", seed=1, samples=True)
+    # a sampled draw takes at least one base den + 1 digit from each 256-bit digest
+    with pytest.raises(InputError, match="2\\*\\*256"):
+        verify(ir5, "sf", Lattice(2**256), mode="sampled", seed=1, samples=1)
+    assert verify(ir5, "sf", Lattice(2**256 - 1), mode="sampled", seed=1, samples=1).status == "holds"
+    for budget in (0, -1, 1.5):
         with pytest.raises(InputError, match="budget"):
             verify(ir5, "sf", lat, budget=budget)
         with pytest.raises(InputError, match="budget"):
@@ -292,7 +298,7 @@ def test_worker_count_is_clamped(monkeypatch):
     assert theorems._worker_count(10**9) == len(REGISTRY_ORDER)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
     assert theorems._worker_count(10**9) == 1
-    for jobs in (0, -1):
+    for jobs in (0, -1, 1.5):
         with pytest.raises(InputError):
             theorems._worker_count(jobs)
         with pytest.raises(InputError):
