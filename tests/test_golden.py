@@ -1,4 +1,5 @@
-"""Exact payload pins for law witnesses, kind witnesses and statement violations.
+"""Exact payload pins for law witnesses, kind witnesses, statement
+violations and the finder's search.
 
 Other tests check that a reported witness replays; these check that it is
 the same witness, field for field. Each test hashes canonical JSON of a
@@ -11,7 +12,8 @@ import random
 
 import oracles
 from gammag import theorems
-from gammag.core import GammaMagma, canonical_json, check_laws
+from gammag.core import LAW_TERMS, GammaMagma, canonical_json, check_laws
+from gammag.finder import ISO_MODES, SearchBudgetError, SearchSpec, enumerate_models
 from gammag.fuzzy import FUZZY_KINDS, Lattice, kind_violation
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, REGISTRY, sample_subset, two_sided_family
 
@@ -151,3 +153,33 @@ def test_sample_subset_draws_pinned():
         for den in range(1, 5)
     ]
     assert _digest(rows) == "5c4f4e1a8e8b8d0c96807aa6192bccb2d33d4b84502ab844576e6b563eefe636"
+
+
+def _search_row(spec):
+    # the emitted tables in order, then where the node budget stopped it
+    tables = hashlib.sha256()
+    emitted = 0
+    stop = None
+    try:
+        for m in enumerate_models(spec):
+            tables.update(canonical_json(m.tables).encode())
+            emitted += 1
+    except SearchBudgetError as e:
+        stop = [list(e.frontier), e.emitted]
+    return [list(spec.laws), spec.order, spec.gamma_count, spec.iso_mode, spec.budget,
+            emitted, tables.hexdigest(), stop]
+
+
+def test_finder_search_pinned():
+    # budget stops land on an exact node, so a change in how many nodes
+    # symmetry or the laws prune moves a frontier even where counts agree
+    law_sets = [(law,) for law in LAW_TERMS] + [("ag_star_star", "left_invertive")]
+    rows = [
+        _search_row(SearchSpec(order=n, gamma_count=k, laws=laws, iso_mode=mode, budget=budget))
+        for laws in law_sets
+        for n in range(1, 5)
+        for k in range(1, 4)
+        for mode in ISO_MODES
+        for budget in (200, 3_000)
+    ]
+    assert _digest(rows) == "1b4f721564eaafc99cfee134a36c43b5ddc1d89011367362ce4cb46f47212fd3"
