@@ -55,8 +55,9 @@ class CrispSubset:
 
     def __post_init__(self):
         positive_int(self.size, "subset carrier size")
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >= 1 << self.size:
-            raise InputError(f"bitmask {self.bits!r} out of range for size {self.size}")
+        bits = self.bits
+        if not isinstance(bits, int) or isinstance(bits, bool) or bits < 0 or bits >= 1 << self.size:
+            raise InputError(f"bitmask {bits!r} out of range for size {self.size}")
 
     @classmethod
     def from_elements(cls, size: int, elements) -> "CrispSubset":

@@ -6,6 +6,12 @@ cell is assigned, so a branch dies as soon as any fully determined
 instance fails. Isomorphism rejection keeps exactly the tables that are
 the lexicographically least member of their orbit; the same comparison,
 run on partial prefixes, prunes branches that can no longer be minimal.
+That comparison is incremental (the lex-leader check of Crawford et al.,
+KR 1996): each group element carries its tie position, the first flat
+position where its image is not yet known to equal the table, and waits
+on the one cell that decides that position. A node compares only the
+elements waiting on the cell it assigns, from their tie positions on,
+and the trail that restores pending law instances restores them too.
 """
 
 from __future__ import annotations
@@ -118,11 +124,19 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     return buckets
 
 
-def _iso_group(n: int, k: int, iso_mode: str, budget: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Non-identity group elements as (value_map, source_cell_of_cell).
+def _iso_group(
+    n: int, k: int, iso_mode: str, budget: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Non-identity group elements as (value_map, source_cell_of_cell,
+    wake_cell_of_cell).
 
-    The group has n! (times k! with labels) members; one larger than the
-    node budget is refused before any of it is built."""
+    The image of a table t under an element has sigma[t[pre[j]]] at flat
+    position j, so comparing it with t at j needs cells j and pre[j]:
+    wake[j] is the later of the two in fill order. The last entry,
+    wake[total] = total, is where an element tied at every position (an
+    automorphism of the finished table) waits. The group has n!
+    (times k! with labels) members; one larger than the node budget is
+    refused before any of it is built."""
     size = math.factorial(n) * (math.factorial(k) if iso_mode == "elements_and_gamma" else 1)
     if size > budget:
         raise CapacityError(f"isomorphism group has {size} members; node budget is {budget}")
@@ -148,7 +162,8 @@ def _iso_group(n: int, k: int, iso_mode: str, budget: int) -> list[tuple[tuple[i
                 for u in range(n):
                     for v in range(n):
                         pre.append(tau_inv[g] * n2 + sig_inv[u] * n + sig_inv[v])
-            out.append((sigma, tuple(pre)))
+            wake = [max(j, c) for j, c in enumerate(pre)] + [k * n2]
+            out.append((sigma, tuple(pre), tuple(wake)))
     return out
 
 
@@ -188,6 +203,11 @@ def enumerate_models(spec: SearchSpec):
         )
     buckets = _build_instances(n, k, spec.laws)
     pending: list[list[tuple]] = [[] for _ in range(total)]
+    # watch[c]: group elements, each with its tie position, whose next
+    # comparison waits on cell c; watch[total] holds the automorphisms
+    watch: list[list[tuple]] = [[] for _ in range(total + 1)]
+    for sigma, pre, wake in group:
+        watch[wake[0]].append((sigma, pre, wake, 0))
     needs_left_identity = "has_left_identity" in spec.laws
     nodes = 0
     emitted = 0
@@ -207,23 +227,40 @@ def enumerate_models(spec: SearchSpec):
         else:
             reg = o2
         pending[reg].append(inst)
-        trail.append(reg)
+        trail.append(pending[reg])
         return True
 
-    def dominated(depth):
-        # true when some group element conclusively maps the assigned
-        # prefix to a lexicographically smaller one
-        for sigma, pre in group:
-            for j in range(depth + 1):
-                src = t[pre[j]]
-                if src < 0:
-                    break
-                pv = sigma[src]
+    def dominated(depth, trail):
+        """True when some group element conclusively maps the assigned
+        prefix to a lexicographically smaller one.
+
+        The verdict is the one a scan of every element's image from
+        position 0 gives; each scan resumes where it last stopped instead.
+        An element with tie position j has its image equal to t below j,
+        on cells that are all assigned. They stay assigned for the whole
+        subtree below the node that assigned them, so those positions stay
+        tied there and the scan resumes at j. An element whose image is
+        larger at a decided position is dropped: that position stays
+        decided and larger in the subtree, so the element never dominates
+        there. Any other element stops at a position j whose comparison
+        needs the unassigned cell wake[j]; until that cell is assigned,
+        its scan stops at j again, not dominated. So only watch[depth] is
+        scanned. An element that stops again joins the list of its new
+        wake cell, and the trail takes it off on backtrack, which restores
+        its tie position and its membership together."""
+        for sigma, pre, wake, j in watch[depth]:
+            while wake[j] <= depth:
+                pv = sigma[t[pre[j]]]
                 tv = t[j]
                 if pv != tv:
                     if pv < tv:
                         return True
                     break
+                j += 1
+            else:
+                waiting = watch[wake[j]]
+                waiting.append((sigma, pre, wake, j))
+                trail.append(waiting)
         return False
 
     def rec(depth):
@@ -247,7 +284,7 @@ def enumerate_models(spec: SearchSpec):
                     frontier=tuple(t[:depth]) + (v,),
                     emitted=emitted,
                 )
-            trail: list[int] = []
+            trail: list[list] = []
             t[depth] = v
             ok = True
             for inst in buckets[depth]:
@@ -259,12 +296,12 @@ def enumerate_models(spec: SearchSpec):
                     if not process(inst, trail):
                         ok = False
                         break
-            if ok and group and dominated(depth):
+            if ok and dominated(depth, trail):
                 ok = False
             if ok:
                 yield from rec(depth + 1)
-            for reg in trail:
-                pending[reg].pop()
+            for waiting in trail:
+                waiting.pop()
             t[depth] = -1
 
     yield from rec(0)

@@ -49,7 +49,7 @@ class FuzzySubset:
 
     @classmethod
     def constant(cls, order: int, value) -> "FuzzySubset":
-        return cls((_as_value(value),) * order)
+        return cls((_as_value(value),) * positive_int(order, "order"))
 
     @classmethod
     def ones(cls, order: int) -> "FuzzySubset":

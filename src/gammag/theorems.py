@@ -63,6 +63,7 @@ def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
     digits it holds in full; each later block of e members comes from a
     digest keyed with the block's index as well.
     """
+    _check_sample_den(den)
     base = den + 1
     per_digest = _digits_per_digest(base)
     values = []
@@ -74,6 +75,13 @@ def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
             v, r = divmod(v, base)
             values.append(Fraction(r, den))
     return FuzzySubset(tuple(values))
+
+
+def _check_sample_den(den: int) -> None:
+    positive_int(den, "lattice denominator")
+    # a draw takes at least one base den + 1 digit from each 256-bit digest
+    if den >= 1 << 256:
+        raise InputError("sampled mode needs a lattice denominator below 2**256")
 
 
 @cache
@@ -643,9 +651,7 @@ def _check_request(lattice, mode, seed, samples, budget) -> None:
         if seed is None:
             raise InputError("sampled mode needs a seed")
         positive_int(samples, "sample count")
-        # sample_subset takes at least one base den + 1 digit per 256-bit digest
-        if lattice.den >= 1 << 256:
-            raise InputError("sampled mode needs a lattice denominator below 2**256")
+        _check_sample_den(lattice.den)
     positive_int(budget, "budget")
 
 

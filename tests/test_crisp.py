@@ -44,6 +44,8 @@ def test_subset_validation():
     with pytest.raises(InputError):
         CrispSubset(3, 8)
     with pytest.raises(InputError):
+        CrispSubset(3, True)
+    with pytest.raises(InputError):
         CrispSubset.from_elements(3, [3])
     with pytest.raises(InputError):
         CrispSubset.from_elements(3, [True])

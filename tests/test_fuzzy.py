@@ -48,6 +48,13 @@ def test_constant_builders():
     assert FuzzySubset.ones(3).values == (Fraction(1),) * 3
     assert FuzzySubset.zeros(2).values == (Fraction(0),) * 2
     assert FuzzySubset.constant(2, Fraction(1, 3)).values == (Fraction(1, 3),) * 2
+    for order in (True, 0, -1, 2.0):
+        with pytest.raises(InputError, match="order"):
+            FuzzySubset.constant(order, 1)
+    with pytest.raises(InputError, match="order"):
+        FuzzySubset.ones(False)
+    with pytest.raises(InputError, match="order"):
+        FuzzySubset.zeros(1.5)
 
 
 def test_meet_join_leq():

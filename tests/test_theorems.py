@@ -410,6 +410,16 @@ def test_sample_subset_fills_members_past_one_digest():
     assert last == {0, 1, 2, 3, 4}
 
 
+def test_sample_subset_refuses_den_past_one_digest():
+    # base den + 1 must fit a 256-bit digest at least once
+    with pytest.raises(InputError, match="2\\*\\*256"):
+        sample_subset(1, 0, 5, 2**256)
+    for den in (0, -1, True):
+        with pytest.raises(InputError, match="denominator"):
+            sample_subset(1, 0, 5, den)
+    assert Lattice(2**256 - 1).contains(sample_subset(1, 0, 5, 2**256 - 1))
+
+
 # ---------------------------------------------------------------------------
 # two-sided families and the semilattice report
 
