@@ -21,6 +21,8 @@ from .core import (
     InputError,
     canonical_json,
     check_laws,
+    checked_int,
+    checked_name,
     load_structure,
     read_json,
 )
@@ -44,9 +46,8 @@ def _emit(obj) -> None:
 def _resolve_structure(arg: str) -> GammaMagma:
     if Path(arg).exists():
         return load_structure(arg)
-    if arg in CORPUS_NAMES:
-        return load_structure(importlib.resources.files("gammag").joinpath("corpus", f"{arg}.json"))
-    raise InputError(f"no such structure file or corpus name: {arg}")
+    name = checked_name(arg, "structure file or corpus name", CORPUS_NAMES)
+    return load_structure(importlib.resources.files("gammag").joinpath("corpus", f"{name}.json"))
 
 
 def _load_fuzzy(path: str, order: int):
@@ -107,21 +108,21 @@ def cmd_fuzzy(args) -> int:
 
 
 def _parse_mode(text: str):
-    if text == "exhaustive":
-        return "exhaustive", None, None
-    parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "sampled":
-        try:
-            return "sampled", int(parts[1]), int(parts[2])
-        except ValueError:
-            raise InputError(f"bad sampled mode {text!r}; want sampled:SEED:N") from None
-    raise InputError(f"unknown mode {text!r}; want exhaustive or sampled:SEED:N")
+    """(mode, seed, samples) from sampled:SEED:N; any other text is passed
+    on as the mode name for verify to accept or refuse."""
+    mode, _, rest = text.partition(":")
+    if mode != "sampled":
+        return text, None, None
+    try:
+        seed, samples = map(int, rest.split(":"))
+    except ValueError:
+        raise InputError(f"bad sampled mode {text!r}; want sampled:SEED:N") from None
+    return mode, seed, samples
 
 
 def cmd_verify(args) -> int:
     m = _resolve_structure(args.structure)
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
+    checked_int(args.jobs, "--jobs", 1)
     lattice = Lattice(args.lattice)
     mode, seed, samples = _parse_mode(args.mode)
     if args.theorem == "all":

@@ -23,11 +23,23 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds its configured budget or cap."""
 
 
-def positive_int(value, what: str, most: int | None = None) -> int:
-    """value, when it is an int (not a bool) in 1..most; else InputError."""
-    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value and (most is None or value <= most):
+def checked_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """value, when it is an int (not a bool) in least..most, each bound optional; else InputError."""
+    if isinstance(value, int) and not isinstance(value, bool) and (
+        least is None or least <= value) and (most is None or value <= most):
         return value
-    raise InputError(f"{what} must be " + ("a positive integer" if most is None else f"an integer in 1..{most}"))
+    span = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+    raise InputError(f"{what} must be an integer{span}")
+
+
+def checked_name(value, what: str, names):
+    """value, when it is hashable and one of names; else InputError."""
+    try:
+        if value in names:
+            return value
+    except TypeError:  # an unhashable value looked up in a dict or set
+        pass
+    raise InputError(f"no such {what} {value!r}; expected one of {', '.join(names)}")
 
 
 def json_fields(d, what: str, required: tuple, optional: tuple = ()) -> tuple:
@@ -73,17 +85,25 @@ LAW_TERMS = {
 LAW_NAMES = (*LAW_TERMS, "has_left_identity")
 
 
-def _as_table(rows, order):
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
-        raise InputError(f"table must be {order}x{order}")
-    table = tuple(tuple(row) for row in rows)
-    if len(table) != order or any(len(row) != order for row in table):
-        raise InputError(f"table must be {order}x{order}")
-    for row in table:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise InputError(f"table entry {v!r} outside 0..{order - 1}")
-    return table
+def _as_tables(tables, order):
+    """tables as tuples of order x order tuples with int entries in 0..order-1.
+
+    The entries of every table are checked in one pass over their types
+    and one over their values; checked_int names the first bad entry.
+    """
+    out = []
+    for rows in tables:
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise InputError(f"table must be {order}x{order}")
+        table = tuple(tuple(row) for row in rows)
+        if len(table) != order or any(len(row) != order for row in table):
+            raise InputError(f"table must be {order}x{order}")
+        out.append(table)
+    entries = [*itertools.chain.from_iterable(itertools.chain.from_iterable(out))]
+    if {*map(type, entries)} != {int} or min(entries) < 0 or max(entries) >= order:
+        for v in entries:
+            checked_int(v, "table entry", 0, order - 1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,7 @@ class GammaMagma:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        positive_int(self.order, "order")
+        checked_int(self.order, "order", 1)
         gamma = tuple(self.gamma)
         if not gamma:
             raise InputError("gamma label set must be non-empty")
@@ -109,7 +129,7 @@ class GammaMagma:
             raise InputError("gamma labels must be non-empty strings")
         if len(set(gamma)) != len(gamma):
             raise InputError("gamma labels must be distinct")
-        tables = tuple(_as_table(t, self.order) for t in self.tables)
+        tables = _as_tables(self.tables, self.order)
         if len(tables) != len(gamma):
             raise InputError("need exactly one table per gamma label")
         labels = self.labels
@@ -126,34 +146,27 @@ class GammaMagma:
         return {g: i for i, g in enumerate(self.gamma)}
 
     def gamma_index(self, label: str) -> int:
-        try:
-            return self._gamma_index[label]
-        except KeyError:
-            raise InputError(f"unknown gamma label {label!r}") from None
+        return self._gamma_index[checked_name(label, "gamma label", self._gamma_index)]
 
     def apply(self, x: int, label: str, y: int) -> int:
         """Product of x and y under the named operation."""
-        if not 0 <= x < self.order or not 0 <= y < self.order:
-            raise InputError(f"element out of range for order {self.order}")
+        x, y = (checked_int(v, "element", 0, self.order - 1) for v in (x, y))
         return self.tables[self.gamma_index(label)][x][y]
 
     def element_name(self, x: int) -> str:
+        x = checked_int(x, "element", 0, self.order - 1)
         return self.labels[x] if self.labels is not None else str(x)
 
     def element_index(self, name) -> int:
-        """Resolve an element given as index, numeric string, or label."""
-        if isinstance(name, int) and not isinstance(name, bool):
-            idx = name
-        elif self.labels is not None and name in self.labels:
-            idx = self.labels.index(name)
-        else:
+        """Resolve an element given as index, label, or numeric string."""
+        if isinstance(name, str):
+            if self.labels is not None and name in self.labels:
+                return self.labels.index(name)
             try:
-                idx = int(name)
-            except (TypeError, ValueError):
+                name = int(name)
+            except ValueError:
                 raise InputError(f"unknown element {name!r}") from None
-        if not 0 <= idx < self.order:
-            raise InputError(f"element {name!r} out of range for order {self.order}")
-        return idx
+        return checked_int(name, "element", 0, self.order - 1)
 
     @cached_property
     def factorizations(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -232,16 +245,15 @@ class LawReport:
     left_identity: int | None
 
     def holds(self, law: str) -> bool:
-        if law not in LAW_NAMES:
-            raise InputError(f"unknown law {law!r}")
-        if law == "has_left_identity":
+        if checked_name(law, "law", LAW_NAMES) == "has_left_identity":
             return self.left_identity is not None
         return law not in self.witnesses
 
     def __getattr__(self, name: str) -> bool:
-        if name not in LAW_NAMES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.holds(name)
+        try:
+            return self.holds(name)
+        except InputError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
 
     def to_dict(self, m: GammaMagma | None = None) -> dict:
         return {
@@ -268,6 +280,11 @@ def _mirror(variables: str, sides: tuple) -> str | None:
     return None
 
 
+# Each LAW_TERMS row's mirror renaming, or None; the law scans and the
+# finder's law instances both skip the element tuples above their mirror.
+LAW_MIRRORS = {law: _mirror(variables, sides) for law, (variables, _, sides) in LAW_TERMS.items()}
+
+
 def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     """First-failure scan for one LAW_TERMS row, as generated nested loops.
 
@@ -282,10 +299,10 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     swapped, so e fails exactly when e' does; a tuple equal to its mirror
     has equal sides; and a failing e above e' is beaten by e' under the
     same labels. So the least failing tuple is below its mirror and the
-    witness is unchanged.
+    witness is unchanged. A row outside LAW_TERMS scans every tuple.
     """
     body = [[] for _ in range(len(variables) + slots)]
-    mirror = _mirror(variables, sides)
+    mirror = LAW_MIRRORS.get(law)
     if mirror is not None:
         # compare e with e' from the first variable its renaming moves;
         # the first position where they differ is the lesser of a pair
@@ -355,9 +372,7 @@ def check_laws(m: GammaMagma) -> LawReport:
 
 def check_single_law(m: GammaMagma, law: str) -> LawWitness | None:
     """Scan one equational law; None means it holds."""
-    if law not in _SCANS:
-        raise InputError(f"unknown equational law {law!r}")
-    return _SCANS[law](m)
+    return _SCANS[checked_name(law, "equational law", _SCANS)](m)
 
 
 TERM_PATTERNS = ("xy", "(xx)y", "x(yy)")
@@ -371,13 +386,10 @@ def from_base_with_terms(base, patterns, gamma=None, labels=None) -> GammaMagma:
     g0, g1, ... in pattern order.
     """
     order = len(base)
-    base = _as_table(base, order)
-    patterns = tuple(patterns)
+    (base,) = _as_tables((base,), order)
+    patterns = tuple(checked_name(p, "term pattern", TERM_PATTERNS) for p in patterns)
     if not patterns:
         raise InputError("need at least one term pattern")
-    for p in patterns:
-        if p not in TERM_PATTERNS:
-            raise InputError(f"unknown term pattern {p!r}; expected one of {TERM_PATTERNS}")
     if gamma is None:
         gamma = tuple(f"g{i}" for i in range(len(patterns)))
     gamma = tuple(gamma)
@@ -401,8 +413,7 @@ def integer_op_eval(a: int, beta: int, b: int, z: int) -> int:
     cancels it, which is what the law regression tests exploit.
     """
     for v in (a, beta, b, z):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError("integer operation needs integer arguments")
+        checked_int(v, "integer operation argument")
     return b - beta - a - beta - z
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapacityError, GammaMagma, InputError, positive_int
+from .core import CapacityError, GammaMagma, InputError, checked_int, checked_name
 
 IDEAL_KINDS = (
     "subgroupoid",
@@ -54,18 +54,15 @@ class CrispSubset:
     bits: int
 
     def __post_init__(self):
-        positive_int(self.size, "subset carrier size")
-        bits = self.bits
-        if not isinstance(bits, int) or isinstance(bits, bool) or bits < 0 or bits >= 1 << self.size:
-            raise InputError(f"bitmask {bits!r} out of range for size {self.size}")
+        size = checked_int(self.size, "subset carrier size", 1)
+        checked_int(self.bits, "bitmask", 0, (1 << size) - 1)
 
     @classmethod
     def from_elements(cls, size: int, elements) -> "CrispSubset":
+        top = checked_int(size, "subset carrier size", 1) - 1
         bits = 0
         for e in elements:
-            if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
-                raise InputError(f"element {e!r} out of range for size {size}")
-            bits |= 1 << e
+            bits |= 1 << checked_int(e, "element", 0, top)
         return cls(size, bits)
 
     @classmethod
@@ -225,18 +222,17 @@ def intra_witness_valid(m: GammaMagma, w: IntraWitness) -> bool:
 
 def intra_regular_witness(m: GammaMagma, a: int) -> IntraWitness | None:
     """Lexicographically least (x, y, beta, xi, gamma) decomposing a, if any."""
-    if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < m.order:
-        raise InputError(f"element {a!r} out of range for order {m.order}")
+    checked_int(a, "element", 0, m.order - 1)
     t = m.tables
     k = len(t)
     rng = range(m.order)
-    inner = [[t[xi][a][a] for xi in range(k)]]
+    inner = [t[xi][a][a] for xi in range(k)]
     for x in rng:
         for y in rng:
             for bi in range(k):
                 tb = t[bi]
                 for xi in range(k):
-                    mid = tb[x][inner[0][xi]]
+                    mid = tb[x][inner[xi]]
                     for gi in range(k):
                         if t[gi][mid][y] == a:
                             return IntraWitness(a, x, y, m.gamma[bi], m.gamma[xi], m.gamma[gi])
@@ -253,6 +249,5 @@ def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
         raise CapacityError(
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
-    if kind not in IDEAL_KINDS:
-        raise InputError(f"unknown ideal kind {kind!r}; expected one of {IDEAL_KINDS}")
+    checked_name(kind, "ideal kind", IDEAL_KINDS)
     return [CrispSubset(m.order, a) for a in range(1, 1 << m.order) if KindProducts(m, a).has(kind)]

@@ -25,12 +25,13 @@ from .core import (
     CapacityError,
     GammaMagma,
     InputError,
+    LAW_MIRRORS,
     LAW_NAMES,
     LAW_TERMS,
-    _mirror,
     check_single_law,
+    checked_int,
+    checked_name,
     find_left_identity,
-    positive_int,
 )
 from .crisp import is_intra_regular
 
@@ -41,7 +42,9 @@ DEFAULT_NODE_BUDGET = 2_000_000
 MAX_ORDER = 6
 
 class SearchBudgetError(CapacityError):
-    """Node budget ran out mid-search; carries the frontier reached."""
+    """The node budget ran out, or could not cover the isomorphism group or
+    the law instances; carries the frontier reached (empty for a refusal
+    before the search) and the number of models emitted."""
 
     def __init__(self, message: str, frontier: tuple[int, ...], emitted: int):
         super().__init__(message)
@@ -61,15 +64,14 @@ class SearchSpec:
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        positive_int(self.order, "order", MAX_ORDER)
-        positive_int(self.gamma_count, "gamma_count", 26)
-        object.__setattr__(self, "laws", tuple(sorted(set(self.laws))))
-        unknown = [law for law in self.laws if law not in LAW_NAMES]
-        if unknown:
-            raise InputError(f"unknown laws: {', '.join(unknown)}")
-        if self.iso_mode not in ISO_MODES:
-            raise InputError(f"iso_mode must be one of {ISO_MODES}, got {self.iso_mode!r}")
-        positive_int(self.budget, "budget")
+        checked_int(self.order, "order", 1, MAX_ORDER)
+        checked_int(self.gamma_count, "gamma_count", 1, 26)
+        if not isinstance(self.laws, (list, tuple, set, frozenset)):
+            raise InputError("laws must be a collection of law names")
+        laws = {checked_name(law, "law", LAW_NAMES) for law in self.laws}
+        object.__setattr__(self, "laws", tuple(sorted(laws)))
+        checked_name(self.iso_mode, "iso_mode", ISO_MODES)
+        checked_int(self.budget, "budget", 1)
 
 
 def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]:
@@ -86,7 +88,7 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     buckets[c] holds the instances whose last statically known table cell
     is c; cells that depend on values are chased dynamically via the
     pending lists. An instance whose two sides are the same triple always
-    holds and is dropped. A row with a mirror renaming (core._mirror)
+    holds and is dropped. A row with a mirror renaming (core.LAW_MIRRORS)
     keeps only the element tuples below their mirror, as its law scan
     does: the instance at the mirror tuple is the same equation with its
     sides swapped, and a tuple equal to its mirror has equal sides."""
@@ -110,7 +112,7 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     for law, (variables, slots, (lhs, rhs)) in LAW_TERMS.items():
         if law not in laws:
             continue
-        image = [variables.index(v) for v in _mirror(variables, (lhs, rhs)) or ""]
+        image = [variables.index(v) for v in LAW_MIRRORS[law] or ""]
         for elements in itertools.product(range(n), repeat=len(variables)):
             if image and elements >= tuple(elements[i] for i in image):
                 continue
@@ -136,10 +138,12 @@ def _iso_group(
     wake[total] = total, is where an element tied at every position (an
     automorphism of the finished table) waits. The group has n!
     (times k! with labels) members; one larger than the node budget is
-    refused before any of it is built."""
+    refused, with an empty frontier, before any of it is built."""
     size = math.factorial(n) * (math.factorial(k) if iso_mode == "elements_and_gamma" else 1)
     if size > budget:
-        raise CapacityError(f"isomorphism group has {size} members; node budget is {budget}")
+        raise SearchBudgetError(
+            f"isomorphism group has {size} members; node budget is {budget}", frontier=(), emitted=0
+        )
     n2 = n * n
     label_perms: list[tuple[int, ...]]
     if iso_mode == "elements_and_gamma":
@@ -182,10 +186,10 @@ def _build_magma(t: list[int], n: int, k: int) -> GammaMagma:
 
 def enumerate_models(spec: SearchSpec):
     """All structures matching spec, one per isomorphism class, in
-    ascending flat-table order. Raises CapacityError before the search
-    when the isomorphism group or the law instances outnumber the node
-    budget (for the instances a SearchBudgetError with an empty frontier),
-    and SearchBudgetError mid-stream when the node cap runs out."""
+    ascending flat-table order. Raises SearchBudgetError with an empty
+    frontier before the search when the isomorphism group or the law
+    instances outnumber the node budget, and mid-stream, with the frontier
+    reached, when the node cap runs out."""
     n, k = spec.order, spec.gamma_count
     n2 = n * n
     total = k * n2
@@ -328,11 +332,7 @@ def find_counterexample_structure(
     the least of them is the least member of its own class: the
     canonical stream, ascending, meets it first (the lex-leader argument
     of Crawford et al., KR 1996)."""
-    if property_name not in _PROPERTY_CHECKS:
-        raise InputError(
-            f"unknown property {property_name!r}; expected one of {FINDER_PROPERTIES}"
-        )
-    check, max_order = _PROPERTY_CHECKS[property_name]
+    check, max_order = _PROPERTY_CHECKS[checked_name(property_name, "property", _PROPERTY_CHECKS)]
     for order in range(1, max_order + 1):
         spec = SearchSpec(order=order, gamma_count=1, laws=("left_invertive",), budget=budget)
         for m in enumerate_models(spec):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
-from .core import GammaMagma, InputError, json_fields, positive_int
+from .core import GammaMagma, InputError, checked_int, checked_name, json_fields
 from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
 
 ZERO = Fraction(0)
@@ -49,7 +49,7 @@ class FuzzySubset:
 
     @classmethod
     def constant(cls, order: int, value) -> "FuzzySubset":
-        return cls((_as_value(value),) * positive_int(order, "order"))
+        return cls((_as_value(value),) * checked_int(order, "order", 1))
 
     @classmethod
     def ones(cls, order: int) -> "FuzzySubset":
@@ -64,9 +64,7 @@ class FuzzySubset:
         return len(self.values)
 
     def __call__(self, i: int) -> Fraction:
-        if not 0 <= i < self.order:
-            raise InputError(f"element {i!r} out of range for order {self.order}")
-        return self.values[i]
+        return self.values[checked_int(i, "element", 0, self.order - 1)]
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v > ZERO)
@@ -222,10 +220,7 @@ def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
     kinds are computed, sharing the products of each cut.
     """
     _check_carrier(m, f)
-    held = set(kinds)
-    unknown = held.difference(FUZZY_KINDS)
-    if unknown:
-        raise InputError(f"unknown fuzzy kind {min(unknown)!r}; expected one of {FUZZY_KINDS}")
+    held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
     by_value = {}
     for i, v in enumerate(f.scaled[1]):
         if v:
@@ -285,17 +280,17 @@ class Lattice:
     den: int
 
     def __post_init__(self):
-        positive_int(self.den, "lattice denominator")
+        checked_int(self.den, "lattice denominator", 1)
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(i, self.den) for i in range(self.den + 1))
 
     def count(self, order: int) -> int:
-        return (self.den + 1) ** order
+        return (self.den + 1) ** checked_int(order, "order", 1)
 
     def subsets(self, order: int):
         """All lattice-valued subsets, first element varying slowest."""
-        positive_int(order, "order")
+        checked_int(order, "order", 1)
         for values in itertools.product(self.values(), repeat=order):
             yield FuzzySubset(values)
 
@@ -306,14 +301,11 @@ class Lattice:
 def fuzzy_from_dict(d: dict, order: int | None = None) -> FuzzySubset:
     """Parse the {"den": d, "num": [...]} layout with strict bounds checks."""
     den, num = json_fields(d, "fuzzy subset", ("den", "num"))
-    positive_int(den, "den")
+    checked_int(den, "den", 1)
     if not isinstance(num, list) or not num:
         raise InputError("num must be a non-empty list of integers")
     for n in num:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InputError(f"numerator {n!r} is not an integer")
-        if n < 0 or n > den:
-            raise InputError(f"numerator {n} outside 0..{den}")
+        checked_int(n, "numerator", 0, den)
     if order is not None and len(num) != order:
         raise InputError(f"fuzzy subset has {len(num)} entries; structure order is {order}")
     return FuzzySubset(tuple(Fraction(n, den) for n in num))

@@ -19,7 +19,7 @@ from functools import cache
 from typing import Callable
 from weakref import WeakKeyDictionary
 
-from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws, positive_int
+from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws, checked_int, checked_name
 from .crisp import is_intra_regular
 from .fuzzy import (
     FuzzySubset,
@@ -54,6 +54,11 @@ def structure_hypotheses(m: GammaMagma) -> dict:
     return hyps
 
 
+# checked_int's what, least and most for a sampled lattice denominator: a
+# draw takes at least one base den + 1 digit from each 256-bit digest
+_SAMPLE_DEN = ("sampled mode's lattice denominator (below 2**256)", 1, (1 << 256) - 1)
+
+
 def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
     """Deterministic counter-indexed draw of one lattice-valued subset.
 
@@ -63,7 +68,10 @@ def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
     digits it holds in full; each later block of e members comes from a
     digest keyed with the block's index as well.
     """
-    _check_sample_den(den)
+    checked_int(seed, "seed")
+    checked_int(counter, "counter", 0)
+    checked_int(order, "order", 1)
+    checked_int(den, *_SAMPLE_DEN)
     base = den + 1
     per_digest = _digits_per_digest(base)
     values = []
@@ -75,13 +83,6 @@ def sample_subset(seed: int, counter: int, order: int, den: int) -> FuzzySubset:
             v, r = divmod(v, base)
             values.append(Fraction(r, den))
     return FuzzySubset(tuple(values))
-
-
-def _check_sample_den(den: int) -> None:
-    positive_int(den, "lattice denominator")
-    # a draw takes at least one base den + 1 digit from each 256-bit digest
-    if den >= 1 << 256:
-        raise InputError("sampled mode needs a lattice denominator below 2**256")
 
 
 @cache
@@ -189,7 +190,7 @@ def _ones(order: int) -> FuzzySubset:
 
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
-    positive_int(budget, "budget")
+    checked_int(budget, "budget", 1)
     total = lattice.count(m.order)
     if total > budget:
         raise CapacityError(
@@ -645,14 +646,11 @@ def _sampled_tuples(m, entry, lattice, seed, samples, budget):
 
 def _check_request(lattice, mode, seed, samples, budget) -> None:
     """Reject a malformed verify request before any work starts."""
-    if mode not in ("exhaustive", "sampled"):
-        raise InputError(f"unknown mode {mode!r}; expected exhaustive or sampled")
-    if mode == "sampled":
-        if seed is None:
-            raise InputError("sampled mode needs a seed")
-        positive_int(samples, "sample count")
-        _check_sample_den(lattice.den)
-    positive_int(budget, "budget")
+    if checked_name(mode, "mode", ("exhaustive", "sampled")) == "sampled":
+        checked_int(seed, "seed")
+        checked_int(samples, "sample count", 1)
+        checked_int(lattice.den, *_SAMPLE_DEN)
+    checked_int(budget, "budget", 1)
 
 
 def verify(
@@ -670,10 +668,7 @@ def verify(
     a sampled sub-family would fabricate closure violations, so the mode
     only affects per-subset quantification.
     """
-    try:
-        entry = REGISTRY[theorem_id]
-    except KeyError:
-        raise InputError(f"unknown theorem id {theorem_id!r}") from None
+    entry = REGISTRY[checked_name(theorem_id, "theorem id", REGISTRY)]
     _check_request(lattice, mode, seed, samples, budget)
     hyps = structure_hypotheses(m)
     failed = tuple(h for h in entry.hypotheses if not hyps[h])
@@ -714,7 +709,7 @@ def _verify_task(args):
 
 def _worker_count(jobs: int) -> int:
     """Worker processes for verify_all: at most one per id and one per CPU."""
-    return min(positive_int(jobs, "jobs"), len(REGISTRY_ORDER), os.cpu_count() or 1)
+    return min(checked_int(jobs, "jobs", 1), len(REGISTRY_ORDER), os.cpu_count() or 1)
 
 
 def verify_all(

@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import itertools
 import json
 import random
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,11 @@ from gammag.core import (
     load_structure,
     structure_from_dict,
 )
+from gammag.cli import cmd_verify
+from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness
+from gammag.finder import SearchSpec, find_counterexample_structure
+from gammag.fuzzy import FuzzySubset, Lattice, fuzzy_from_dict, kinds_on_cuts
+from gammag.theorems import DEFAULT_TUPLE_BUDGET, sample_subset, two_sided_family, verify, verify_all
 
 # ---------------------------------------------------------------------------
 # construction and accessors
@@ -74,8 +81,9 @@ def test_apply_and_names(ir5):
     assert ir5.element_index("c") == 2
     assert ir5.element_index("2") == 2
     assert ir5.element_index(4) == 4
-    with pytest.raises(InputError):
-        ir5.element_index("nope")
+    for name in ("nope", "5"):
+        with pytest.raises(InputError):
+            ir5.element_index(name)
     with pytest.raises(InputError):
         ir5.apply(0, "zz", 0)
     with pytest.raises(InputError):
@@ -396,6 +404,92 @@ def test_canonical_json_is_stable():
     b = canonical_json({"a": [2, 3], "b": 1})
     assert a == b
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}'
+
+
+# ---------------------------------------------------------------------------
+# every integer and name argument goes through core.checked_int and
+# core.checked_name, so each malformed value is refused with InputError
+
+_M = GammaMagma(order=2, gamma=("a", "b"), tables=(((0, 1), (1, 0)), ((1, 1), (0, 1))), labels=("p", "q"))
+_F = FuzzySubset((Fraction(1, 2), Fraction(1)))
+_ONE = Lattice(1)
+
+
+def _cli_verify(jobs):
+    args = argparse.Namespace(structure="ir5", theorem="sf", lattice=1, mode="exhaustive",
+                              budget=DEFAULT_TUPLE_BUDGET, jobs=jobs)
+    return cmd_verify(args)
+
+
+# (argument, call, out-of-range int or None when any int is valid,
+# whether a string is a valid spelling)
+_INT_ARGUMENTS = [
+    ("GammaMagma order", lambda v: GammaMagma(order=v, gamma=("a",), tables=(((0,),),)), 0, False),
+    ("table entry", lambda v: GammaMagma(order=2, gamma=("a",), tables=(((0, v), (0, 0)),)), 2, False),
+    ("apply x", lambda v: _M.apply(v, "a", 0), 2, False),
+    ("apply y", lambda v: _M.apply(0, "a", v), 2, False),
+    ("element_index", _M.element_index, 2, True),
+    ("element_name", _M.element_name, 2, False),
+    ("integer_op_eval", lambda v: integer_op_eval(v, 0, 0, 0), None, False),
+    ("CrispSubset size", lambda v: CrispSubset(v, 0), 0, False),
+    ("CrispSubset bits", lambda v: CrispSubset(2, v), 4, False),
+    ("from_elements", lambda v: CrispSubset.from_elements(2, [v]), 2, False),
+    ("intra_regular_witness", lambda v: intra_regular_witness(_M, v), 2, False),
+    ("FuzzySubset call", _F, 2, False),
+    ("FuzzySubset.constant order", lambda v: FuzzySubset.constant(v, 1), 0, False),
+    ("fuzzy_from_dict den", lambda v: fuzzy_from_dict({"den": v, "num": [0]}), 0, False),
+    ("fuzzy_from_dict numerator", lambda v: fuzzy_from_dict({"den": 2, "num": [v]}), 3, False),
+    ("Lattice den", Lattice, 0, False),
+    ("Lattice.count order", _ONE.count, 0, False),
+    ("Lattice.subsets order", lambda v: next(_ONE.subsets(v)), 0, False),
+    ("sample_subset seed", lambda v: sample_subset(v, 0, 2, 1), None, False),
+    ("sample_subset counter", lambda v: sample_subset(1, v, 2, 1), -1, False),
+    ("sample_subset order", lambda v: sample_subset(1, 0, v, 1), 0, False),
+    ("sample_subset den", lambda v: sample_subset(1, 0, 2, v), 2**256, False),
+    ("verify seed", lambda v: verify(_M, "sf", _ONE, "sampled", v, 4), None, False),
+    ("verify samples", lambda v: verify(_M, "sf", _ONE, "sampled", 1, v), 0, False),
+    ("verify budget", lambda v: verify(_M, "sf", _ONE, budget=v), 0, False),
+    ("verify_all jobs", lambda v: verify_all(_M, _ONE, jobs=v), 0, False),
+    ("two_sided_family budget", lambda v: two_sided_family(_M, _ONE, v), 0, False),
+    ("cmd_verify --jobs", _cli_verify, 0, False),
+    ("SearchSpec order", lambda v: SearchSpec(order=v), 7, False),
+    ("SearchSpec gamma_count", lambda v: SearchSpec(order=2, gamma_count=v), 27, False),
+    ("SearchSpec budget", lambda v: SearchSpec(order=2, budget=v), 0, False),
+]
+
+_NAME_ARGUMENTS = [
+    ("gamma_index", _M.gamma_index),
+    ("LawReport.holds", check_laws(_M).holds),
+    ("check_single_law", lambda v: check_single_law(_M, v)),
+    ("from_base_with_terms pattern", lambda v: from_base_with_terms(((0, 1), (1, 0)), (v,))),
+    ("enumerate_ideals", lambda v: enumerate_ideals(_M, v)),
+    ("kinds_on_cuts", lambda v: kinds_on_cuts(_M, _F, ("left", v))),
+    ("SearchSpec laws", lambda v: SearchSpec(order=2, laws=v)),
+    ("SearchSpec law", lambda v: SearchSpec(order=2, laws=("medial", v))),
+    ("SearchSpec iso_mode", lambda v: SearchSpec(order=2, iso_mode=v)),
+    ("find_counterexample_structure", find_counterexample_structure),
+    ("verify mode", lambda v: verify(_M, "sf", _ONE, v)),
+    ("verify_all mode", lambda v: verify_all(_M, _ONE, v)),
+    ("verify theorem id", lambda v: verify(_M, v, _ONE)),
+]
+
+_BAD_ARGUMENTS = []
+for argument, call, out_of_range, spelled in _INT_ARGUMENTS:
+    values = [True, 1.5, None]
+    values += [] if out_of_range is None else [out_of_range]
+    values += [] if spelled else ["1"]
+    _BAD_ARGUMENTS += [(argument, call, value) for value in values]
+for argument, call in _NAME_ARGUMENTS:
+    _BAD_ARGUMENTS += [(argument, call, value) for value in ("nope", ["sf"], None)]
+
+
+@pytest.mark.parametrize(
+    "call, value", [(call, value) for _, call, value in _BAD_ARGUMENTS],
+    ids=[f"{argument}={value!r}" for argument, _, value in _BAD_ARGUMENTS],
+)
+def test_malformed_argument_is_input_error(call, value):
+    with pytest.raises(InputError):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

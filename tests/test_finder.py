@@ -273,8 +273,14 @@ def test_oversized_isomorphism_group_is_refused(monkeypatch, capsys):
 
     monkeypatch.setattr(finder.itertools, "permutations", guarded)
     spec = SearchSpec(order=1, gamma_count=12, iso_mode="elements_and_gamma")
-    with pytest.raises(CapacityError, match="479001600 members"):
+    with pytest.raises(SearchBudgetError, match="479001600 members") as info:
         next(enumerate_models(spec))
+    assert info.value.frontier == () and info.value.emitted == 0
+    # 5! * 2! = 240 members against a budget of 200: the same refusal
+    spec = SearchSpec(order=5, gamma_count=2, iso_mode="elements_and_gamma", budget=200)
+    with pytest.raises(SearchBudgetError, match="240 members") as info:
+        next(enumerate_models(spec))
+    assert info.value.frontier == () and info.value.emitted == 0
     argv = ["enumerate", "--order", "1", "--gamma", "12", "--iso", "elements_and_gamma", "--count"]
     assert main(argv) == 3
     assert capsys.readouterr().out == ""
