@@ -42,6 +42,13 @@ def checked_name(value, what: str, names):
     raise InputError(f"no such {what} {value!r}; expected one of {', '.join(names)}")
 
 
+def checked_collection(value, what: str, kinds: tuple = (list, tuple)):
+    """value, when it is an instance of one of kinds (so never a string split up); else InputError."""
+    if isinstance(value, kinds):
+        return value
+    raise InputError(f"{what} must be a {' or a '.join(kind.__name__ for kind in kinds)}")
+
+
 def json_fields(d, what: str, required: tuple, optional: tuple = ()) -> tuple:
     """The required fields of the JSON object d, once it is known to hold
     every required key and no key outside required and optional."""
@@ -92,7 +99,7 @@ def _as_tables(tables, order):
     and one over their values; checked_int names the first bad entry.
     """
     out = []
-    for rows in tables:
+    for rows in checked_collection(tables, "tables"):
         if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
             raise InputError(f"table must be {order}x{order}")
         table = tuple(tuple(row) for row in rows)
@@ -122,7 +129,7 @@ class GammaMagma:
 
     def __post_init__(self):
         checked_int(self.order, "order", 1)
-        gamma = tuple(self.gamma)
+        gamma = tuple(checked_collection(self.gamma, "gamma"))
         if not gamma:
             raise InputError("gamma label set must be non-empty")
         if any(not isinstance(g, str) or not g for g in gamma):
@@ -134,7 +141,7 @@ class GammaMagma:
             raise InputError("need exactly one table per gamma label")
         labels = self.labels
         if labels is not None:
-            labels = tuple(str(v) for v in labels)
+            labels = tuple(str(v) for v in checked_collection(labels, "labels"))
             if len(labels) != self.order or len(set(labels)) != self.order:
                 raise InputError("labels must name each element exactly once")
         object.__setattr__(self, "gamma", gamma)
@@ -169,16 +176,6 @@ class GammaMagma:
         return checked_int(name, "element", 0, self.order - 1)
 
     @cached_property
-    def factorizations(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """For each a, all triples (b, gi, c) with tables[gi][b][c] == a."""
-        fact = [[] for _ in range(self.order)]
-        for gi, table in enumerate(self.tables):
-            for b, row in enumerate(table):
-                for c, a in enumerate(row):
-                    fact[a].append((b, gi, c))
-        return tuple(tuple(entries) for entries in fact)
-
-    @cached_property
     def product_masks(self) -> tuple[tuple[int, ...], ...]:
         """product_masks[x][y] has bit a set when some label takes x, y to a."""
         return tuple(
@@ -188,7 +185,8 @@ class GammaMagma:
 
     @property
     def every_element_factorizable(self) -> bool:
-        return all(self.factorizations)
+        """Every element is b g c for some b, c and label g: an entry of a table."""
+        return len({a for table in self.tables for row in table for a in row}) == self.order
 
     def to_dict(self) -> dict:
         d = {
@@ -385,15 +383,15 @@ def from_base_with_terms(base, patterns, gamma=None, labels=None) -> GammaMagma:
     operation evaluated in the base table. Gamma labels default to
     g0, g1, ... in pattern order.
     """
-    order = len(base)
+    order = len(checked_collection(base, "base table"))
     (base,) = _as_tables((base,), order)
+    patterns = checked_collection(patterns, "term patterns")
     patterns = tuple(checked_name(p, "term pattern", TERM_PATTERNS) for p in patterns)
     if not patterns:
         raise InputError("need at least one term pattern")
     if gamma is None:
         gamma = tuple(f"g{i}" for i in range(len(patterns)))
-    gamma = tuple(gamma)
-    if len(gamma) != len(patterns):
+    if len(checked_collection(gamma, "gamma")) != len(patterns):
         raise InputError("need exactly one gamma label per pattern")
     tables = []
     for p in patterns:

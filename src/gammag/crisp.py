@@ -76,7 +76,10 @@ class CrispSubset:
     def elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if self.bits >> i & 1)
 
-    def __contains__(self, e: int) -> bool:
+    def __contains__(self, e) -> bool:
+        # a value checked_int refuses (a bool, a float, a str) is no element
+        if not isinstance(e, int) or isinstance(e, bool):
+            return False
         return 0 <= e < self.size and bool(self.bits >> e & 1)
 
     def __iter__(self):

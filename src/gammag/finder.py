@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from .core import (
     CapacityError,
     GammaMagma,
-    InputError,
     LAW_MIRRORS,
     LAW_NAMES,
     LAW_TERMS,
     check_single_law,
+    checked_collection,
     checked_int,
     checked_name,
     find_left_identity,
@@ -66,16 +66,16 @@ class SearchSpec:
     def __post_init__(self):
         checked_int(self.order, "order", 1, MAX_ORDER)
         checked_int(self.gamma_count, "gamma_count", 1, 26)
-        if not isinstance(self.laws, (list, tuple, set, frozenset)):
-            raise InputError("laws must be a collection of law names")
-        laws = {checked_name(law, "law", LAW_NAMES) for law in self.laws}
+        laws = {checked_name(law, "law", LAW_NAMES)
+                for law in checked_collection(self.laws, "laws", (list, tuple, set, frozenset))}
         object.__setattr__(self, "laws", tuple(sorted(laws)))
         checked_name(self.iso_mode, "iso_mode", ISO_MODES)
         checked_int(self.budget, "budget", 1)
 
 
 def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]:
-    """Static instance buckets for the equational laws among `laws`.
+    """The pending law instances of each cell before the search starts,
+    for the equational laws among `laws`.
 
     Every element tuple and label tuple is substituted into both sides of
     the law's LAW_TERMS row. Cells total + e hold the constant e, so a
@@ -85,16 +85,19 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
     (c, Z, Z) with Z = total, the cell holding 0. Any other side is a
     product whose operands are variables or products of two variables.
 
-    buckets[c] holds the instances whose last statically known table cell
-    is c; cells that depend on values are chased dynamically via the
-    pending lists. An instance whose two sides are the same triple always
-    holds and is dropped. A row with a mirror renaming (core.LAW_MIRRORS)
-    keeps only the element tuples below their mirror, as its law scan
-    does: the instance at the mirror tuple is the same equation with its
-    sides swapped, and a tuple equal to its mirror has equal sides."""
+    This is the one instance list per cell. pending[c] starts with the
+    instances whose last statically known table cell is c. During the
+    search a node appends the instances that wait on c because assigned
+    values pointed them at c, and pops them on backtrack, so the static
+    ones always come first. An instance whose two sides are the same
+    triple always holds and is dropped. A row with a mirror renaming
+    (core.LAW_MIRRORS) keeps only the element tuples below their mirror,
+    as its law scan does: the instance at the mirror tuple is the same
+    equation with its sides swapped, and a tuple equal to its mirror has
+    equal sides."""
     n2 = n * n
     total = k * n2
-    buckets: list[list[tuple]] = [[] for _ in range(total)]
+    pending: list[list[tuple]] = [[] for _ in range(total)]
 
     def cell(term, env, labels):
         # a variable, or a product of two variables (else a KeyError)
@@ -122,8 +125,8 @@ def _build_instances(n: int, k: int, laws: tuple[str, ...]) -> list[list[tuple]]
                 if s1 == s2:
                     continue
                 static = [c for b, p, q in (s1, s2) for c in ((b,) if p == q == total else (p, q))]
-                buckets[max(c for c in static if c < total)].append(s1 + s2)
-    return buckets
+                pending[max(c for c in static if c < total)].append(s1 + s2)
+    return pending
 
 
 def _iso_group(
@@ -205,8 +208,7 @@ def enumerate_models(spec: SearchSpec):
         raise SearchBudgetError(
             f"{instances} law instances exceed node budget {spec.budget}", frontier=(), emitted=0
         )
-    buckets = _build_instances(n, k, spec.laws)
-    pending: list[list[tuple]] = [[] for _ in range(total)]
+    pending = _build_instances(n, k, spec.laws)
     # watch[c]: group elements, each with its tie position, whose next
     # comparison waits on cell c; watch[total] holds the automorphisms
     watch: list[list[tuple]] = [[] for _ in range(total + 1)]
@@ -290,20 +292,14 @@ def enumerate_models(spec: SearchSpec):
                 )
             trail: list[list] = []
             t[depth] = v
-            ok = True
-            for inst in buckets[depth]:
+            # process files an instance only on an unassigned cell, never
+            # on this one, so the list does not change under the loop
+            for inst in pending[depth]:
                 if not process(inst, trail):
-                    ok = False
                     break
-            if ok:
-                for inst in pending[depth]:
-                    if not process(inst, trail):
-                        ok = False
-                        break
-            if ok and dominated(depth, trail):
-                ok = False
-            if ok:
-                yield from rec(depth + 1)
+            else:
+                if not dominated(depth, trail):
+                    yield from rec(depth + 1)
             for waiting in trail:
                 waiting.pop()
             t[depth] = -1

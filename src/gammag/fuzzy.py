@@ -2,9 +2,9 @@
 
 Membership values are fractions.Fraction throughout; nothing in this
 module touches floats, so comparisons and equalities are exact. The
-composition of f and g under a structure takes, at each element, the
-best min(f(b), g(c)) over all factorizations of that element, and 0
-where no factorization exists.
+composition of f and g under a structure takes, at each element a, the
+best min(f(b), g(c)) over all table entries a = b g c, and 0 where a is
+no entry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
-from .core import GammaMagma, InputError, checked_int, checked_name, json_fields
+from .core import GammaMagma, InputError, checked_collection, checked_int, checked_name, json_fields
 from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
 
 ZERO = Fraction(0)
@@ -25,11 +25,16 @@ ONE = Fraction(1)
 FUZZY_KINDS = IDEAL_KINDS + ("idempotent",)
 
 
-def _as_value(v) -> Fraction:
+def _rational(v, what: str) -> Fraction:
+    """Fraction(v), or InputError for a value Fraction cannot read."""
     try:
-        value = Fraction(v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InputError(f"membership value {v!r} is not rational") from None
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"{what} {v!r} is not rational") from None
+
+
+def _as_value(v) -> Fraction:
+    value = _rational(v, "membership value")
     if not ZERO <= value <= ONE:
         raise InputError(f"membership value {value} outside [0, 1]")
     return value
@@ -42,7 +47,7 @@ class FuzzySubset:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(_as_value(v) for v in self.values)
+        values = tuple(_as_value(v) for v in checked_collection(self.values, "fuzzy subset values"))
         if not values:
             raise InputError("fuzzy subset needs at least one element")
         object.__setattr__(self, "values", values)
@@ -106,21 +111,17 @@ def _check_carrier(m: GammaMagma, f: FuzzySubset) -> None:
 
 
 def gamma_product(m: GammaMagma, f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
-    """Sup-min composition of f and g over every factorization."""
+    """Sup-min composition: each table entry a = b g c raises out[a] to min(f(b), g(c))."""
     _check_carrier(m, f)
     _check_carrier(m, g)
-    fv = f.values
     gv = g.values
-    out = []
-    for entries in m.factorizations:
-        best = ZERO
-        for b, _, c in entries:
-            v = fv[b]
-            if gv[c] < v:
-                v = gv[c]
-            if v > best:
-                best = v
-        out.append(best)
+    out = [ZERO] * m.order
+    for table in m.tables:
+        for fb, row in zip(f.values, table):
+            for a, gc in zip(row, gv):
+                v = gc if gc < fb else fb
+                if v > out[a]:
+                    out[a] = v
     return FuzzySubset(tuple(out))
 
 
@@ -130,7 +131,7 @@ def characteristic(a: CrispSubset) -> FuzzySubset:
 
 def level_cut(f: FuzzySubset, t) -> CrispSubset:
     """Elements with membership at least t; t must be positive."""
-    threshold = Fraction(t)
+    threshold = _rational(t, "level cut threshold")
     if threshold <= ZERO:
         raise InputError("level cut threshold must be positive")
     return CrispSubset.from_elements(f.order, (i for i, v in enumerate(f.values) if v >= threshold))
@@ -220,6 +221,7 @@ def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
     kinds are computed, sharing the products of each cut.
     """
     _check_carrier(m, f)
+    kinds = checked_collection(kinds, "kinds", (list, tuple, set, frozenset))
     held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
     by_value = {}
     for i, v in enumerate(f.scaled[1]):

@@ -32,7 +32,7 @@ from gammag.core import (
 from gammag.cli import cmd_verify
 from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness
 from gammag.finder import SearchSpec, find_counterexample_structure
-from gammag.fuzzy import FuzzySubset, Lattice, fuzzy_from_dict, kinds_on_cuts
+from gammag.fuzzy import FuzzySubset, Lattice, fuzzy_from_dict, gamma_product, kinds_on_cuts, level_cut
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, sample_subset, two_sided_family, verify, verify_all
 
 # ---------------------------------------------------------------------------
@@ -90,15 +90,23 @@ def test_apply_and_names(ir5):
         ir5.apply(9, "1", 0)
 
 
-def test_factorizations_match_naive(ir5, ag9, m2):
-    for m in (ir5, ag9, m2):
-        naive = [set() for _ in range(m.order)]
-        for gi in range(len(m.gamma)):
-            for b in range(m.order):
-                for c in range(m.order):
-                    naive[m.tables[gi][b][c]].add((b, gi, c))
-        got = [set(entries) for entries in m.factorizations]
-        assert got == naive
+def test_products_and_factorizability_match_naive(li_models_small, ir5, ag9, m2):
+    # every pair of den-1 subsets where there are at most 2**10 pairs,
+    # else seeded den-4 pairs
+    rng = random.Random(20111)
+    for m in [*li_models_small, ir5, ag9, m2]:
+        factorizable = all(
+            any(m.apply(b, g, c) == a for g in m.gamma for b in range(m.order) for c in range(m.order))
+            for a in range(m.order)
+        )
+        assert m.every_element_factorizable == factorizable
+        if m.order <= 5:
+            pairs = itertools.product(Lattice(1).subsets(m.order), repeat=2)
+        else:
+            pairs = [tuple(FuzzySubset(tuple(Fraction(rng.randint(0, 4), 4) for _ in range(m.order)))
+                           for _ in range(2)) for _ in range(100)]
+        for f, g in pairs:
+            assert gamma_product(m, f, g).values == oracles.naive_gamma_product(m, f.values, g.values)
     assert ir5.every_element_factorizable
     assert ag9.every_element_factorizable
     assert not m2.every_element_factorizable
@@ -407,8 +415,9 @@ def test_canonical_json_is_stable():
 
 
 # ---------------------------------------------------------------------------
-# every integer and name argument goes through core.checked_int and
-# core.checked_name, so each malformed value is refused with InputError
+# every integer, name and collection argument goes through core.checked_int,
+# core.checked_name and core.checked_collection, so each malformed value is
+# refused with InputError
 
 _M = GammaMagma(order=2, gamma=("a", "b"), tables=(((0, 1), (1, 0)), ((1, 1), (0, 1))), labels=("p", "q"))
 _F = FuzzySubset((Fraction(1, 2), Fraction(1)))
@@ -473,6 +482,21 @@ _NAME_ARGUMENTS = [
     ("verify theorem id", lambda v: verify(_M, v, _ONE)),
 ]
 
+_T = ((0, 1), (1, 0))
+
+# (argument, call, values that are neither a list nor a tuple, and for
+# kinds not a set either); a string is refused, not split into characters
+_COLLECTION_ARGUMENTS = [
+    ("GammaMagma gamma", lambda v: GammaMagma(order=2, gamma=v, tables=(_T, _T)), (None, "ab", 5)),
+    ("GammaMagma tables", lambda v: GammaMagma(order=2, gamma=("a",), tables=v), (None, 5, {_T})),
+    ("GammaMagma labels", lambda v: GammaMagma(order=2, gamma=("a",), tables=(_T,), labels=v), ("pq", 5)),
+    ("FuzzySubset values", FuzzySubset, (None, "01", 5, {1})),
+    ("kinds_on_cuts kinds", lambda v: kinds_on_cuts(_M, _F, v), (None, 5, {"left": 0})),
+    ("from_base_with_terms base", lambda v: from_base_with_terms(v, ("xy",)), (None, 5)),
+    ("from_base_with_terms patterns", lambda v: from_base_with_terms(_T, v), (None, 5, {"xy"})),
+    ("from_base_with_terms gamma", lambda v: from_base_with_terms(_T, ("xy", "xy"), v), ("ab", 5)),
+]
+
 _BAD_ARGUMENTS = []
 for argument, call, out_of_range, spelled in _INT_ARGUMENTS:
     values = [True, 1.5, None]
@@ -481,6 +505,12 @@ for argument, call, out_of_range, spelled in _INT_ARGUMENTS:
     _BAD_ARGUMENTS += [(argument, call, value) for value in values]
 for argument, call in _NAME_ARGUMENTS:
     _BAD_ARGUMENTS += [(argument, call, value) for value in ("nope", ["sf"], None)]
+for argument, call, values in _COLLECTION_ARGUMENTS:
+    _BAD_ARGUMENTS += [(argument, call, value) for value in values]
+# a membership value or threshold Fraction cannot read
+_BAD_ARGUMENTS += [("FuzzySubset value", lambda v: FuzzySubset((v,)), float("inf"))]
+_BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value)
+                   for value in (None, [1], "x", "1/0", float("inf"))]
 
 
 @pytest.mark.parametrize(

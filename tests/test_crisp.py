@@ -36,6 +36,12 @@ def test_subset_basics():
     assert a.to_json() == [0, 3]
 
 
+@pytest.mark.parametrize("value", [1.5, "a", True, None, [1]])
+def test_membership_of_a_non_element_is_false(value):
+    # a value checked_int refuses is no element, not a TypeError
+    assert value not in CrispSubset(2, 3)
+
+
 def test_subset_validation():
     with pytest.raises(InputError):
         CrispSubset(0, 0)
