@@ -32,7 +32,7 @@ from .crisp import (
     intra_regular_witness,
     is_intra_regular,
 )
-from .finder import DEFAULT_NODE_BUDGET, ISO_MODES, SearchSpec, enumerate_models
+from .finder import DEFAULT_NODE_BUDGET, ISO_MODES, SearchSpec, count_models, enumerate_models
 from .fuzzy import FUZZY_KINDS, Lattice, classify_fuzzy, fuzzy_from_dict, gamma_product
 from .theorems import DEFAULT_TUPLE_BUDGET, REGISTRY_ORDER, verify, verify_all
 
@@ -162,7 +162,7 @@ def cmd_enumerate(args) -> int:
         budget=budget,
     )
     if args.count:
-        _emit(sum(1 for _ in enumerate_models(spec)))
+        _emit(count_models(spec))
         return 0
     out_dir = Path(args.emit)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -95,18 +95,20 @@ LAW_NAMES = (*LAW_TERMS, "has_left_identity")
 def _as_tables(tables, order):
     """tables as tuples of order x order tuples with int entries in 0..order-1.
 
-    The entries of every table are checked in one pass over their types
-    and one over their values; checked_int names the first bad entry.
+    Each row's type and length are checked as it is copied, then all entries'
+    types and values in one pass each; checked_int names the first bad entry.
     """
-    out = []
+    out, entries = [], []
     for rows in checked_collection(tables, "tables"):
-        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        if not isinstance(rows, (list, tuple)) or len(rows) != order:
             raise InputError(f"table must be {order}x{order}")
-        table = tuple(tuple(row) for row in rows)
-        if len(table) != order or any(len(row) != order for row in table):
-            raise InputError(f"table must be {order}x{order}")
-        out.append(table)
-    entries = [*itertools.chain.from_iterable(itertools.chain.from_iterable(out))]
+        table = []
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != order:
+                raise InputError(f"table must be {order}x{order}")
+            table.append(tuple(row))
+            entries += row
+        out.append(tuple(table))
     if {*map(type, entries)} != {int} or min(entries) < 0 or max(entries) >= order:
         for v in entries:
             checked_int(v, "table entry", 0, order - 1)

@@ -12,6 +12,9 @@ position where its image is not yet known to equal the table, and waits
 on the one cell that decides that position. A node compares only the
 elements waiting on the cell it assigns, from their tie positions on,
 and the trail that restores pending law instances restores them too.
+The search is one iterative depth-first loop, a trail per depth, with
+two consumers: enumerate_models builds each emitted model, count_models
+counts them and builds one only where a completed-structure filter asks.
 """
 
 from __future__ import annotations
@@ -187,12 +190,9 @@ def _build_magma(t: list[int], n: int, k: int) -> GammaMagma:
     return GammaMagma(order=n, gamma=_gamma_labels(k), tables=tables)
 
 
-def enumerate_models(spec: SearchSpec):
-    """All structures matching spec, one per isomorphism class, in
-    ascending flat-table order. Raises SearchBudgetError with an empty
-    frontier before the search when the isomorphism group or the law
-    instances outnumber the node budget, and mid-stream, with the frontier
-    reached, when the node cap runs out."""
+def _search(spec: SearchSpec, build: bool):
+    """Yields once per emitted leaf of the search enumerate_models
+    describes: its model, when build is true or a filter needs it, else None."""
     n, k = spec.order, spec.gamma_count
     n2 = n * n
     total = k * n2
@@ -215,26 +215,8 @@ def enumerate_models(spec: SearchSpec):
     for sigma, pre, wake in group:
         watch[wake[0]].append((sigma, pre, wake, 0))
     needs_left_identity = "has_left_identity" in spec.laws
-    nodes = 0
-    emitted = 0
-
-    def process(inst, trail):
-        b1, p1, q1, b2, p2, q2 = inst
-        o1 = b1 + t[p1] * n + t[q1]
-        o2 = b2 + t[p2] * n + t[q2]
-        a, b = t[o1], t[o2]
-        if a >= 0 and b >= 0:
-            return a == b
-        # not determined yet: re-examine when the last unknown cell fills
-        if a < 0 and b < 0:
-            reg = o1 if o1 > o2 else o2
-        elif a < 0:
-            reg = o1
-        else:
-            reg = o2
-        pending[reg].append(inst)
-        trail.append(pending[reg])
-        return True
+    build = build or needs_left_identity or spec.intra_regular
+    nodes = emitted = 0
 
     def dominated(depth, trail):
         """True when some group element conclusively maps the assigned
@@ -269,42 +251,66 @@ def enumerate_models(spec: SearchSpec):
                 trail.append(waiting)
         return False
 
-    def rec(depth):
-        nonlocal nodes, emitted
-        if depth == total:
+    # trails[d]: the lists the node at depth d appended to; deeper cells hold -1
+    trails: list[list[list]] = [[] for _ in range(total)]
+    depth = 0
+    while depth >= 0:
+        trail = trails[depth]
+        while trail:
+            trail.pop().pop()
+        v = t[depth] + 1
+        if v == n:
+            t[depth] = -1
+            depth -= 1
+            continue
+        nodes += 1
+        if nodes > spec.budget:
+            raise SearchBudgetError(f"node budget {spec.budget} exhausted after emitting {emitted} models",
+                                    frontier=tuple(t[:depth]) + (v,), emitted=emitted)
+        t[depth] = v
+        # an undecided instance waits on an unassigned cell, never on
+        # this one, so the list does not change under the loop
+        for inst in pending[depth]:
+            b1, p1, q1, b2, p2, q2 = inst
+            o1 = b1 + t[p1] * n + t[q1]
+            o2 = b2 + t[p2] * n + t[q2]
+            a, b = t[o1], t[o2]
+            if a < 0 or b < 0:
+                # re-examined when the last unknown cell fills
+                waiting = pending[o2 if a >= 0 or b < 0 and o2 > o1 else o1]
+                waiting.append(inst)
+                trail.append(waiting)
+            elif a != b:
+                break
+        else:
+            if dominated(depth, trail):
+                continue
+            if depth + 1 < total:
+                depth += 1
+                continue
             # the existential law and intra-regularity are decided on
             # the completed structure
-            m = _build_magma(t, n, k)
-            if needs_left_identity and find_left_identity(m) is None:
-                return
-            if spec.intra_regular and not is_intra_regular(m):
-                return
+            m = _build_magma(t, n, k) if build else None
+            if (needs_left_identity and find_left_identity(m) is None
+                    or spec.intra_regular and not is_intra_regular(m)):
+                continue
             emitted += 1
             yield m
-            return
-        for v in range(n):
-            nodes += 1
-            if nodes > spec.budget:
-                raise SearchBudgetError(
-                    f"node budget {spec.budget} exhausted after emitting {emitted} models",
-                    frontier=tuple(t[:depth]) + (v,),
-                    emitted=emitted,
-                )
-            trail: list[list] = []
-            t[depth] = v
-            # process files an instance only on an unassigned cell, never
-            # on this one, so the list does not change under the loop
-            for inst in pending[depth]:
-                if not process(inst, trail):
-                    break
-            else:
-                if not dominated(depth, trail):
-                    yield from rec(depth + 1)
-            for waiting in trail:
-                waiting.pop()
-            t[depth] = -1
 
-    yield from rec(0)
+
+def enumerate_models(spec: SearchSpec):
+    """All structures matching spec, one per isomorphism class, in
+    ascending flat-table order. Raises SearchBudgetError with an empty
+    frontier before the search when the isomorphism group or the law
+    instances outnumber the node budget, and mid-stream, with the frontier
+    reached, when the node cap runs out."""
+    return _search(spec, build=True)
+
+
+def count_models(spec: SearchSpec) -> int:
+    """How many structures enumerate_models(spec) yields, or its SearchBudgetError;
+    a model is built only where has_left_identity or intra_regular needs one."""
+    return sum(1 for _ in _search(spec, build=False))
 
 
 _PROPERTY_CHECKS = {

@@ -26,7 +26,9 @@ FUZZY_KINDS = IDEAL_KINDS + ("idempotent",)
 
 
 def _rational(v, what: str) -> Fraction:
-    """Fraction(v), or InputError for a value Fraction cannot read."""
+    """Fraction(v), or InputError for a float, a bool or a value Fraction cannot read."""
+    if isinstance(v, (float, bool)):
+        raise InputError(f"{what} {v!r} is not an exact rational; give an int, Fraction or string")
     try:
         return Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -31,7 +31,7 @@ from gammag.core import (
 )
 from gammag.cli import cmd_verify
 from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness
-from gammag.finder import SearchSpec, find_counterexample_structure
+from gammag.finder import SearchSpec, enumerate_models, find_counterexample_structure
 from gammag.fuzzy import FuzzySubset, Lattice, fuzzy_from_dict, gamma_product, kinds_on_cuts, level_cut
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, sample_subset, two_sided_family, verify, verify_all
 
@@ -511,6 +511,12 @@ for argument, call, values in _COLLECTION_ARGUMENTS:
 _BAD_ARGUMENTS += [("FuzzySubset value", lambda v: FuzzySubset((v,)), float("inf"))]
 _BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value)
                    for value in (None, [1], "x", "1/0", float("inf"))]
+# a float keeps its binary value and a bool reads as 0 or 1: neither is exact
+_BAD_ARGUMENTS += [("FuzzySubset value", lambda v: FuzzySubset((v,)), value) for value in (0.1, True)]
+_BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value) for value in (0.1, True)]
+# a row that is a string or a set, or of the wrong length (a ragged table)
+_BAD_ARGUMENTS += [("GammaMagma table row", lambda v: GammaMagma(order=2, gamma=("a",), tables=((v, (0, 0)),)),
+                    value) for value in ("01", {0, 1}, (0,))]
 
 
 @pytest.mark.parametrize(
@@ -520,6 +526,15 @@ _BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value)
 def test_malformed_argument_is_input_error(call, value):
     with pytest.raises(InputError):
         call(value)
+
+
+def test_emitted_models_equal_their_tables_rebuilt_from_lists():
+    for n in range(1, 5):
+        for k in (1, 2):
+            for m in enumerate_models(SearchSpec(order=n, gamma_count=k)):
+                tables = [[list(row) for row in table] for table in m.tables]
+                rebuilt = GammaMagma(m.order, list(m.gamma), tables)
+                assert rebuilt == m and rebuilt.tables == m.tables and rebuilt.gamma == m.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from gammag.cli import main
 from gammag.core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws
 from gammag.crisp import is_intra_regular
 from gammag.finder import (
+    DEFAULT_NODE_BUDGET,
     FINDER_PROPERTIES,
     ISO_MODES,
     MAX_ORDER,
     SearchBudgetError,
     SearchSpec,
+    count_models,
     enumerate_models,
     find_counterexample_structure,
 )
@@ -259,6 +261,54 @@ def test_budget_exhaustion_is_reported():
     assert "300" in str(err)
     # whatever was emitted before exhaustion is a prefix of the full list
     assert [m.to_dict() for m in partial] == [m.to_dict() for m in full[: len(partial)]]
+
+
+def _outcome(search):
+    # how many items the search gives, or where its budget stopped it
+    try:
+        return search(), None
+    except SearchBudgetError as e:
+        return None, (str(e), e.frontier, e.emitted)
+
+
+def test_count_models_matches_enumeration():
+    # the grid of tests/test_golden.py::test_finder_search_pinned, then the
+    # filters decided on completed structures, under the default budget
+    # and a budget that stops the search part way
+    law_sets = [(law,) for law in LAW_TERMS] + [("ag_star_star", "left_invertive")]
+    specs = [
+        SearchSpec(order=n, gamma_count=k, laws=laws, iso_mode=mode, budget=budget)
+        for laws in law_sets
+        for n in range(1, 5)
+        for k in range(1, 4)
+        for mode in ISO_MODES
+        for budget in (200, 3_000)
+    ]
+    specs += [
+        SearchSpec(order=n, gamma_count=k, laws=laws, iso_mode=mode, intra_regular=intra, budget=budget)
+        for laws, intra in [(("has_left_identity", "left_invertive"), False),
+                            (("left_invertive",), True),
+                            (("ag_star_star", "has_left_identity", "left_invertive"), True)]
+        for n in range(1, 4)
+        for k in (1, 2)
+        for mode in ISO_MODES
+        for budget in (300, DEFAULT_NODE_BUDGET)
+    ]
+    stops = 0
+    for spec in specs:
+        counted = _outcome(lambda: count_models(spec))
+        assert counted == _outcome(lambda: sum(1 for _ in enumerate_models(spec))), spec
+        stops += counted[1] is not None
+    # both outcomes are exercised
+    assert 0 < stops < len(specs)
+
+
+def test_count_models_builds_no_model(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(finder, "GammaMagma", unbuilt)
+    assert count_models(SearchSpec(order=4, gamma_count=2)) == 117686
 
 
 def test_oversized_isomorphism_group_is_refused(monkeypatch, capsys):
