@@ -5,7 +5,10 @@ pre-filters on the quantified fuzzy subsets, and a statement written in
 terms and kinds, compiled at import into a checker that either passes or
 returns a replayable violation. Quantification ranges over all
 lattice-valued subsets (exhaustive) or a seeded pseudo-random sample;
-both paths are deterministic for fixed inputs.
+both paths are deterministic for fixed inputs. A linear row (an identity
+of compositions with each variable once per side) whose exhaustive tuple
+space overflows the budget is decided on singleton tuples instead, which
+decide it at every lattice (see _singleton_decision).
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from typing import Callable
 from weakref import WeakKeyDictionary
 
 from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws, checked_int, checked_name
-from .crisp import is_intra_regular
+from .crisp import CrispSubset, _mask_product, is_intra_regular
 from .fuzzy import (
     FuzzySubset,
     Lattice,
+    characteristic,
     gamma_product,
     has_fuzzy_kind,
     kind_violation,
@@ -520,6 +524,41 @@ def _coincide(conditions):
     return check
 
 
+def _product_variables(term):
+    """The variables of a term built from variables by "*" alone, in order; None for any other term."""
+    if isinstance(term, str):
+        return [term] if term in _VARIABLES else None
+    op, left, right = term
+    a, b = _product_variables(left), _product_variables(right)
+    return a + b if op == "*" and a is not None and b is not None else None
+
+
+def _mask_evaluator(term):
+    """Closure computing a "*"-term's crisp mask from (m.product_masks, one mask per variable)."""
+    if isinstance(term, str):
+        i = _VARIABLES.index(term)
+        return lambda masks, xs: xs[i]
+    _, left, right = term
+    a, b = _mask_evaluator(left), _mask_evaluator(right)
+    return lambda masks, xs: _mask_product(masks, a(masks, xs), b(masks, xs))
+
+
+def _linear_sides(filters, shape, items):
+    """Mask evaluators of each equation's two sides when the row is linear, else None.
+
+    A row is linear when it is a "holds" row with no pre-filter and no
+    guard, and every conclusion is an equation between products in which
+    every one of the row's variables occurs exactly once."""
+    if shape != "holds" or any(filters) or any(len(item) != 3 or item[1] != "==" for item in items):
+        return None
+    sides = [t for lhs, _, rhs in items for t in (lhs, rhs)]
+    variables = sorted({v for t in sides for v in _variables(t)})
+    for t in sides:
+        if isinstance(t, str) or sorted(_product_variables(t) or ()) != variables:
+            return None
+    return tuple((_mask_evaluator(lhs), _mask_evaluator(rhs)) for lhs, _, rhs in items)
+
+
 def _pre_filter(spec):
     """Membership test for one quantified position; None for no filter."""
     if not spec:
@@ -544,6 +583,7 @@ class TheoremEntry:
     premise: Callable | None = None
     pre_filters: tuple | None = None
     family_check: Callable | None = None
+    linear: tuple | None = None  # (lhs, rhs) mask evaluators per equation of a linear row
 
     @property
     def family(self) -> bool:
@@ -563,7 +603,8 @@ def _entry(theorem_id, summary, hypotheses, filters, shape, items) -> TheoremEnt
         terms = ["f"] + [t for equations in groups for lhs, _, rhs in equations for t in (lhs, rhs)]
     arity = 1 + max(_VARIABLES.index(v) for t in terms for v in _variables(t))
     pre_filters = tuple(_pre_filter(spec) for spec in filters or ("",) * arity)
-    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters)
+    linear = _linear_sides(filters, shape, items)
+    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear=linear)
 
 
 REGISTRY = {row[0]: _entry(*row) for row in _ROWS}
@@ -577,7 +618,7 @@ class Verdict:
     theorem_id: str
     status: str  # holds | counterexample | hypothesis_not_met | capacity_error
     lattice_den: int
-    mode: str  # exhaustive | sampled
+    mode: str  # exhaustive | sampled | singletons (a linear row decided on singleton tuples)
     seed: int | None
     requested: int | None
     checked: int
@@ -619,16 +660,39 @@ def _verdict(entry, status, lattice, mode, seed, requested, checked, failed=(), 
     )
 
 
-def _exhaustive_tuples(m, entry, lattice, budget):
+def _exhaustive_tuples(m, entry, lattice):
     """Every tuple of lattice subsets, each position drawn from its pre-filtered pool."""
-    per_subset = lattice.count(m.order)
-    if per_subset ** entry.arity > budget:
-        raise CapacityError(
-            f"exhaustive check needs {per_subset ** entry.arity} tuples; budget is {budget}"
-        )
     pool = list(lattice.subsets(m.order))
     pools = [[f for f in pool if flt(m, f)] if flt else pool for flt in entry.pre_filters]
     yield from itertools.product(*pools)
+
+
+def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
+    """Decide a linear row on singleton tuples: (tuples examined, first violation or None).
+
+    Sup-min composition distributes over joins in each argument, the
+    empty join included (a zero argument gives a zero product). Every
+    subset is the join of its fuzzy points x_s (x at level s), so a side
+    in which every variable occurs once is the join of its values on
+    tuples of fuzzy points. On points, x_s * y_t is the crisp product
+    x*y at level min(s, t); so each side is the crisp singleton term cut
+    at the minimum of the tuple's levels, and that minimum is the same on
+    both sides. Hence the equations hold on every tuple at every lattice
+    den exactly when they hold on every tuple of singletons. A failing
+    singleton tuple has values in {0, 1}, so it is itself a den-d
+    counterexample; the first in lexicographic element order is reported
+    through the row's own check on its characteristic subsets.
+    """
+    masks = m.product_masks
+    checked = 0
+    for xs in itertools.product([1 << x for x in range(m.order)], repeat=entry.arity):
+        checked += 1
+        if any(lhs(masks, xs) != rhs(masks, xs) for lhs, rhs in entry.linear):
+            violation = entry.check(m, *(characteristic(CrispSubset(m.order, x)) for x in xs))
+            if violation is None:
+                raise AssertionError("a singleton tuple fails on masks but passes the row's check")
+            return checked, violation
+    return checked, None
 
 
 def _sampled_tuples(m, entry, lattice, seed, samples, budget):
@@ -682,7 +746,15 @@ def verify(
         return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
 
     if mode == "exhaustive":
-        tuples = _exhaustive_tuples(m, entry, lattice, budget)
+        needed = lattice.count(m.order) ** entry.arity
+        if needed > budget:
+            # singletons decide a linear row at every den, charged at n^arity tuples
+            if entry.linear is None or m.order ** entry.arity > budget:
+                raise CapacityError(f"exhaustive check needs {needed} tuples; budget is {budget}")
+            checked, violation = _singleton_decision(m, entry)
+            status = "holds" if violation is None else "counterexample"
+            return _verdict(entry, status, lattice, "singletons", seed, samples, checked, violation=violation)
+        tuples = _exhaustive_tuples(m, entry, lattice)
     else:
         tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget)
     checked = 0

@@ -252,8 +252,34 @@ def test_verify_counterexample_exit(capsys, m2_file):
 
 
 def test_verify_capacity_exit(capsys):
-    code, out, err = run(capsys, "verify", "ir5", "--theorem", "trm_ii")
+    code, out, err = run(capsys, "verify", "ir5", "--theorem", "trm_ii", "--budget", "100")
     assert code == 3 and out == "" and "capacity" in err
+    assert "exhaustive check needs 1048576 tuples; budget is 100" in err
+    # a family row: 165 two-sided ideals at den 8 need 165**3 triple checks
+    code, out, err = run(capsys, "verify", "ir5", "--theorem", "semi1", "--lattice", "8")
+    assert code == 3 and out == "" and "capacity" in err
+
+
+def test_verify_linear_row_decided_on_singletons(capsys):
+    # 3125**3 exhaustive tuples, 5**3 singleton tuples
+    code, out, _ = run_json(capsys, "verify", "ir5", "--theorem", "trm_i", "--lattice", "4")
+    assert code == 0
+    assert out == {"theorem": "trm_i", "status": "holds", "lattice": 4, "mode": "singletons",
+                   "checked": 125, "witness": None}
+
+
+def test_verify_all_ir5_den1_decided(capsys):
+    code, out, _ = run_json(capsys, "verify", "ir5", "--theorem", "all", "--lattice", "1")
+    assert code == 0
+    results = {r["theorem"]: r for r in out["results"]}
+    for tid in ("trm_ii", "agss_ii"):
+        assert results.pop(tid) == {"theorem": tid, "status": "holds", "lattice": 1, "mode": "singletons",
+                                    "checked": 625, "witness": None}
+    # the other 25 verdicts, byte for byte as before singleton decisions
+    text = canonical_json(list(results.values()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c5ca70a03abf11b24dfb664274cf292f8e341e55a9a0bc349e260fb86bd13fc3"
+    )
 
 
 def test_verify_budget_flag(capsys, m2_file):
@@ -314,11 +340,14 @@ def test_verify_all_mixed_statuses_prefer_counterexample(capsys, m2_file):
 
 
 def test_verify_all_capacity_only(capsys):
-    code, out, _ = run_json(capsys, "verify", "ag9", "--theorem", "all")
+    # trm_i fits the budget on 9**3 singleton tuples; trm_ii needs 9**4
+    code, out, _ = run_json(capsys, "verify", "ag9", "--theorem", "all", "--budget", "1000")
     assert code == 3
     statuses = [r["status"] for r in out["results"]]
     assert statuses.count("capacity_error") == 2
     assert "counterexample" not in statuses
+    stopped = [r["theorem"] for r in out["results"] if r["status"] == "capacity_error"]
+    assert stopped == ["trm_ii", "rl_cap_quasi"]
 
 
 def test_verify_all_jobs_flag_same_output(capsys, m2_file):

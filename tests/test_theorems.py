@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,10 @@ def test_registry_entries_are_well_formed(m2):
             oracles.eval_expr(theorems._render(term), m2, subsets)
 
 
+def test_linear_rows_are_the_four_composition_identities():
+    assert {tid for tid, entry in REGISTRY.items() if entry.linear} == {"trm_i", "trm_ii", "agss_i", "agss_ii"}
+
+
 def test_structure_hypotheses_cached_per_structure(monkeypatch, li_models_small):
     # more structures than any small fixed-size cache holds, under gamma
     # labels no other test uses, each decided once across two sweeps
@@ -202,8 +207,9 @@ def test_hypothesis_gating(ag9, m2):
 
 
 def test_capacity_error_raised_from_single_verify(ir5):
-    with pytest.raises(CapacityError):
-        verify(ir5, "trm_ii", Lattice(1))
+    # 625 singleton tuples are over this budget too, so the stop keeps its detail
+    with pytest.raises(CapacityError, match="^exhaustive check needs 1048576 tuples; budget is 100$"):
+        verify(ir5, "trm_ii", Lattice(1), budget=100)
     with pytest.raises(CapacityError):
         verify(ir5, "trm_i", Lattice(1), budget=100)
 
@@ -218,9 +224,9 @@ def test_ir5_battery_frozen(ir5_battery):
         "sf": ("holds", 4),
         "sf_factorizable": ("holds", 4),
         "trm_i": ("holds", 32768),
-        "trm_ii": ("capacity_error", 0),
+        "trm_ii": ("holds", 625),
         "agss_i": ("holds", 32768),
-        "agss_ii": ("capacity_error", 0),
+        "agss_ii": ("holds", 625),
         "rl_cap_quasi": ("holds", 16),
         "qqq": ("holds", 4),
         "idem_quasi_bi": ("holds", 4),
@@ -255,8 +261,8 @@ def test_ag9_battery_frozen(ag9_battery):
     assert got == {
         "sf": ("holds", 2, ()),
         "sf_factorizable": ("holds", 2, ()),
-        "trm_i": ("capacity_error", 0, ()),
-        "trm_ii": ("capacity_error", 0, ()),
+        "trm_i": ("holds", 729, ()),
+        "trm_ii": ("holds", 6561, ()),
         "agss_i": ("hypothesis_not_met", 0, gated),
         "agss_ii": ("hypothesis_not_met", 0, gated),
         "rl_cap_quasi": ("holds", 4, ()),
@@ -286,6 +292,10 @@ def test_ag9_battery_frozen(ag9_battery):
 def test_verify_all_parallel_matches_serial(ag9, ag9_battery):
     parallel = verify_all(ag9, Lattice(1), jobs=2)
     assert parallel == ag9_battery
+
+
+def test_verify_all_parallel_matches_serial_ir5(ir5, ir5_battery):
+    assert verify_all(ir5, Lattice(1), jobs=2) == ir5_battery
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -376,6 +386,108 @@ def test_direct_checker_violations_replay():
                 kinds_seen.add(w.kind)
     assert shapes["eq"] > 50 and shapes["kind"] > 50
     assert len(kinds_seen) >= 4
+
+
+# ---------------------------------------------------------------------------
+# linear rows decided on singleton tuples, against brute force
+
+_LINEAR_IDS = ("trm_i", "trm_ii", "agss_i", "agss_ii")
+
+
+def _brute_force(m, tid, den):
+    """(first failing tuple of den-lattice subsets or None, first failing
+    singleton tuple or None) for the row's equations, with every product
+    taken once per pair of pool subsets by the naive oracle."""
+    pool = [f.values for f in Lattice(den).subsets(m.order)]
+    index = {values: i for i, values in enumerate(pool)}
+    prod = [[index[oracles.naive_gamma_product(m, f, g)] for g in pool] for f in pool]
+
+    def compile_term(term):
+        if isinstance(term, str):
+            i = "fghk".index(term)
+            return lambda xs: xs[i]
+        a, b = compile_term(term[1]), compile_term(term[2])
+        return lambda xs: prod[a(xs)][b(xs)]
+
+    row = next(row for row in theorems._ROWS if row[0] == tid)
+    sides = [(compile_term(lhs), compile_term(rhs)) for lhs, _, rhs in row[5]]
+    arity = REGISTRY[tid].arity
+
+    def first_failure(tuples):
+        return next((xs for xs in tuples if any(lhs(xs) != rhs(xs) for lhs, rhs in sides)), None)
+
+    point = [index[tuple(Fraction(int(i == x)) for i in range(m.order))] for x in range(m.order)]
+    singles = (tuple(point[x] for x in xs) for xs in itertools.product(range(m.order), repeat=arity))
+    least = first_failure(singles)
+    if least is not None:
+        least = tuple(pool[i] for i in least)
+    return first_failure(itertools.product(range(len(pool)), repeat=arity)), least
+
+
+def _cross_check(m, tid, den):
+    """The singleton decision agrees with brute force at den; returns its status."""
+    entry = REGISTRY[tid]
+    checked, v = theorems._singleton_decision(m, entry)
+    exhaustive, least = _brute_force(m, tid, den)
+    assert (v is None) == (exhaustive is None) == (least is None), (m.tables, tid, den)
+    if v is None:
+        assert checked == m.order ** entry.arity
+        return "holds"
+    assert tuple(f.values for f in v.subsets) == least, (m.tables, tid)
+    singletons = list(itertools.product(range(m.order), repeat=entry.arity))
+    assert checked == 1 + singletons.index(tuple(f.values.index(1) for f in v.subsets))
+    assert oracles.replay_violation(m, v), (m.tables, tid)
+    return "counterexample"
+
+
+def test_singleton_decision_matches_brute_force_on_small_models(li_models_small, ss_models_small):
+    assert (len(li_models_small), len(ss_models_small)) == (219, 105)
+    statuses = [_cross_check(m, tid, 1) for m in li_models_small for tid in ("trm_i", "trm_ii")]
+    statuses += [_cross_check(m, tid, 1) for m in ss_models_small for tid in ("agss_i", "agss_ii")]
+    assert set(statuses) == {"holds"}
+
+
+def test_singleton_decision_matches_brute_force_on_random_tables():
+    rng = random.Random(20101)
+    statuses = []
+    for _ in range(200):
+        n, k = rng.choice((2, 3)), rng.choice((1, 2))
+        tables = tuple(
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(k)
+        )
+        m = GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tables)
+        statuses += [_cross_check(m, tid, 1) for tid in _LINEAR_IDS]
+    assert statuses.count("counterexample") > len(statuses) // 2
+    assert "holds" in statuses
+
+
+def test_singletons_decide_every_den(li_models_small):
+    # every one-label order-2 table and the two-label order-2 models, at den 2
+    tables = [
+        GammaMagma(order=2, gamma=("a",), tables=((flat[:2], flat[2:]),))
+        for flat in itertools.product(range(2), repeat=4)
+    ]
+    tables += [m for m in li_models_small if m.order == 2 and len(m.gamma) == 2]
+    statuses = [_cross_check(m, tid, 2) for m in tables for tid in _LINEAR_IDS]
+    assert {"holds", "counterexample"} <= set(statuses)
+
+
+def test_linear_row_over_budget_decided_on_singletons(ir5, m2):
+    v = verify(ir5, "trm_ii", Lattice(3))
+    assert (v.status, v.mode, v.checked, v.violation) == ("holds", "singletons", 625, None)
+    assert v.to_dict() == {
+        "theorem": "trm_ii", "status": "holds", "lattice": 3, "mode": "singletons", "checked": 625, "witness": None,
+    }
+    # within budget the exhaustive path runs as before
+    v = verify(m2, "trm_ii", Lattice(1))
+    assert (v.mode, v.checked) == ("exhaustive", 256)
+    # charged at n^arity: 625 tuples fit a budget of 625, not of 624
+    assert verify(ir5, "agss_ii", Lattice(1), budget=625).checked == 625
+    with pytest.raises(CapacityError, match="needs 1048576 tuples; budget is 624"):
+        verify(ir5, "agss_ii", Lattice(1), budget=624)
+    # a row that is not linear keeps its capacity stop
+    with pytest.raises(CapacityError, match="^exhaustive check needs 1099511627776 tuples; budget is 1000000$"):
+        verify(ir5, "rl_cap_quasi", Lattice(15))
 
 
 # ---------------------------------------------------------------------------
