@@ -18,7 +18,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -29,7 +29,6 @@ from .fuzzy import (
     Lattice,
     characteristic,
     gamma_product,
-    has_fuzzy_kind,
     kind_violation,
     kinds_on_cuts,
     leq,
@@ -200,7 +199,7 @@ def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[Fuzzy
         raise CapacityError(
             f"family enumeration needs {total} lattice subsets; budget is {budget}"
         )
-    return [f for f in lattice.subsets(m.order) if has_fuzzy_kind(m, f, "two_sided")]
+    return [f for f in lattice.subsets(m.order) if "two_sided" in kinds_on_cuts(m, f, ("two_sided",))]
 
 
 def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -269,14 +268,10 @@ def _split_below(f, family, combine):
     return None
 
 
-def _not_prime(m, f, family):
-    return _split_below(f, family, lambda g, h: gamma_product(m, g, h))
-
-
 def _family_irr_iff_prime(m, family):
     for f in family:
         irr = _split_below(f, family, meet)
-        prime = _not_prime(m, f, family)
+        prime = _split_below(f, family, partial(gamma_product, m))
         if (irr is None) == (prime is None):
             continue
         if irr is None:
@@ -292,7 +287,7 @@ def _family_irr_iff_prime(m, family):
 def _family_all_prime_iff_chain(m, family):
     not_prime = None
     for f in family:
-        witness = _not_prime(m, f, family)
+        witness = _split_below(f, family, partial(gamma_product, m))
         if witness is not None:
             not_prime = (f,) + witness
             break
@@ -327,7 +322,7 @@ def _family_all_prime_iff_chain(m, family):
 # "coincide" lists conditions on f, each a kind or a (name, equations)
 # group, and fails when some hold and others do not, setting the first
 # that holds against the first that fails. Shape "family" names a check of
-# the two-sided family.
+# the two-sided family, called as check(m, family).
 
 _VARIABLES = "fghk"
 
@@ -425,26 +420,32 @@ def _render(term, nested=False) -> str:
     return f"({text})" if nested else text
 
 
-def _variables(term) -> list[str]:
+def _symbols(term) -> list[str]:
+    """The term's leaves and operators, left to right."""
     if isinstance(term, str):
-        return [term] if term in _VARIABLES else []
-    return _variables(term[1]) + _variables(term[2])
+        return [term]
+    op, left, right = term
+    return _symbols(left) + [op] + _symbols(right)
 
 
 def _evaluator(term):
-    """Closure computing the term's value from (m, subsets)."""
+    """Closure computing the term's value from (algebra, one value per variable),
+    the algebra being (product, meet, ones) on lattice subsets or on crisp masks."""
     if term == "ones":
-        return lambda m, fs: _ones(m.order)
+        return lambda alg, xs: alg[2]
     if isinstance(term, str):
         i = _VARIABLES.index(term)
-        return lambda m, fs: fs[i]
+        return lambda alg, xs: xs[i]
     op, left, right = term
+    k = "*^".index(op)
     a, b = _evaluator(left), _evaluator(right)
-    # gamma_product and meet are looked up at call time, so a wrapper
+    return lambda alg, xs: alg[k](a(alg, xs), b(alg, xs))
+
+
+def _subset_algebra(m):
+    # gamma_product and meet are looked up at each check, so a wrapper
     # installed on this module's attribute sees every call
-    if op == "*":
-        return lambda m, fs: gamma_product(m, a(m, fs), b(m, fs))
-    return lambda m, fs: meet(a(m, fs), b(m, fs))
+    return partial(gamma_product, m), meet, _ones(m.order)
 
 
 def _equation(eq):
@@ -452,45 +453,48 @@ def _equation(eq):
     return _render(lhs), _evaluator(lhs), _render(rhs), _evaluator(rhs)
 
 
-def _guard_holds(m, fs, kinds) -> bool:
-    return all(has_fuzzy_kind(m, f, kind) for f, kind in zip(fs, kinds))
+def _admits(m, tests, fs) -> bool:
+    """Whether each subset passes its position's kind test (None passes all)."""
+    return all(test is None or test(m, f) for test, f in zip(tests, fs))
 
 
 def _conclusion(item):
-    """(guard or None, test returning the conclusion's violation or None)."""
+    """(guard: a kind test per variable or None, test returning the violation or None, equation closures or None)."""
     lhs, relation, rhs, *guard = item
+    guard = tuple(map(_pre_filter, guard[0])) if guard else None
     if relation == "is":
         name, value = _render(lhs), _evaluator(lhs)
         clause = f"{name} is {rhs}"
 
-        def test(m, fs):
-            return _kind_check(clause, m, fs, name, value(m, fs), rhs)
-    else:
-        lname, lvalue, rname, rvalue = _equation(item[:3])
-        clause = f"{lname} == {rname}"
+        def test(m, alg, fs):
+            return _kind_check(clause, m, fs, name, value(alg, fs), rhs)
 
-        def test(m, fs):
-            return _eq_check(clause, fs, lname, lvalue(m, fs), rname, rvalue(m, fs))
+        return guard, test, None
+    lname, lvalue, rname, rvalue = _equation(item[:3])
+    clause = f"{lname} == {rname}"
 
-    return (guard[0] if guard else None), test
+    def test(m, alg, fs):
+        return _eq_check(clause, fs, lname, lvalue(alg, fs), rname, rvalue(alg, fs))
+
+    return guard, test, (lvalue, rvalue)
 
 
 def _holds(conclusions):
-    """Checker and premise for a "holds" row."""
+    """Checker, premise and each conclusion's equation closures for a "holds" row."""
     steps = [_conclusion(item) for item in conclusions]
-    guards = [guard for guard, _ in steps]
+    guards = [guard for guard, _, _ in steps]
 
     def check(m, *fs):
-        for guard, test in steps:
-            if guard is None or _guard_holds(m, fs, guard):
-                v = test(m, fs)
+        alg = _subset_algebra(m)
+        for guard, test, _ in steps:
+            if guard is None or _admits(m, guard, fs):
+                v = test(m, alg, fs)
                 if v is not None:
                     return v
         return None
 
-    if None in guards:
-        return check, None
-    return check, lambda m, *fs: any(_guard_holds(m, fs, guard) for guard in guards)
+    premise = None if None in guards else lambda m, *fs: any(_admits(m, guard, fs) for guard in guards)
+    return check, premise, [sides for _, _, sides in steps]
 
 
 def _coincide(conditions):
@@ -500,14 +504,14 @@ def _coincide(conditions):
     kinds = [c for c in conditions if isinstance(c, str)]
 
     def check(m, *fs):
-        f = fs[0]
+        f, alg = fs[0], _subset_algebra(m)
         held = kinds_on_cuts(m, f, kinds)
         found = []  # per condition: (holds, evaluated sides of its equations)
         for name, equations in parts:
             if equations is None:
                 found.append((name in held, None))
             else:
-                sides = [(ln, lv(m, fs), rn, rv(m, fs)) for ln, lv, rn, rv in equations]
+                sides = [(ln, lv(alg, fs), rn, rv(alg, fs)) for ln, lv, rn, rv in equations]
                 found.append((all(lhs == rhs for _, lhs, _, rhs in sides), sides))
         flags = [ok for ok, _ in found]
         if all(flags) or not any(flags):
@@ -524,39 +528,19 @@ def _coincide(conditions):
     return check
 
 
-def _product_variables(term):
-    """The variables of a term built from variables by "*" alone, in order; None for any other term."""
-    if isinstance(term, str):
-        return [term] if term in _VARIABLES else None
-    op, left, right = term
-    a, b = _product_variables(left), _product_variables(right)
-    return a + b if op == "*" and a is not None and b is not None else None
+def _linear_sides(filters, items, sides):
+    """The (lhs, rhs) closures of a "holds" row's equations when the row is linear, else None.
 
-
-def _mask_evaluator(term):
-    """Closure computing a "*"-term's crisp mask from (m.product_masks, one mask per variable)."""
-    if isinstance(term, str):
-        i = _VARIABLES.index(term)
-        return lambda masks, xs: xs[i]
-    _, left, right = term
-    a, b = _mask_evaluator(left), _mask_evaluator(right)
-    return lambda masks, xs: _mask_product(masks, a(masks, xs), b(masks, xs))
-
-
-def _linear_sides(filters, shape, items):
-    """Mask evaluators of each equation's two sides when the row is linear, else None.
-
-    A row is linear when it is a "holds" row with no pre-filter and no
-    guard, and every conclusion is an equation between products in which
-    every one of the row's variables occurs exactly once."""
-    if shape != "holds" or any(filters) or any(len(item) != 3 or item[1] != "==" for item in items):
+    A row is linear when it has no pre-filter and no guard, and every
+    conclusion is an equation between products in which every one of the
+    row's variables occurs exactly once."""
+    if any(filters) or any(len(item) != 3 or item[1] != "==" for item in items):
         return None
-    sides = [t for lhs, _, rhs in items for t in (lhs, rhs)]
-    variables = sorted({v for t in sides for v in _variables(t)})
-    for t in sides:
-        if isinstance(t, str) or sorted(_product_variables(t) or ()) != variables:
-            return None
-    return tuple((_mask_evaluator(lhs), _mask_evaluator(rhs)) for lhs, _, rhs in items)
+    terms = [_symbols(t) for lhs, _, rhs in items for t in (lhs, rhs)]
+    variables = sorted({s for t in terms for s in t if s in _VARIABLES})
+    if all("*" in t and sorted(s for s in t if s != "*") == variables for t in terms):
+        return tuple(sides)
+    return None
 
 
 def _pre_filter(spec):
@@ -578,33 +562,32 @@ class TheoremEntry:
     theorem_id: str
     summary: str
     hypotheses: tuple[str, ...]
-    arity: int
-    check: Callable | None
+    arity: int  # 0 for a family row, whose check is called as check(m, family)
+    check: Callable
     premise: Callable | None = None
     pre_filters: tuple | None = None
-    family_check: Callable | None = None
-    linear: tuple | None = None  # (lhs, rhs) mask evaluators per equation of a linear row
+    linear: tuple | None = None  # (lhs, rhs) closures of each equation of a linear row
 
     @property
     def family(self) -> bool:
-        return self.family_check is not None
+        return self.arity == 0
 
 
 def _entry(theorem_id, summary, hypotheses, filters, shape, items) -> TheoremEntry:
     """Compile one row; the arity is the number of variables the row uses."""
     if shape == "family":
-        return TheoremEntry(theorem_id, summary, hypotheses, 0, None, family_check=items)
+        return TheoremEntry(theorem_id, summary, hypotheses, 0, items)
     if shape == "holds":
-        check, premise = _holds(items)
+        check, premise, sides = _holds(items)
+        linear = _linear_sides(filters, items, sides)
         terms = [t for lhs, rel, rhs, *_ in items for t in ((lhs, rhs) if rel == "==" else (lhs,))]
     else:
-        check, premise = _coincide(items), None
+        check, premise, linear = _coincide(items), None, None
         groups = [c[1] for c in items if not isinstance(c, str)]
         terms = ["f"] + [t for equations in groups for lhs, _, rhs in equations for t in (lhs, rhs)]
-    arity = 1 + max(_VARIABLES.index(v) for t in terms for v in _variables(t))
+    arity = 1 + max(_VARIABLES.index(s) for t in terms for s in _symbols(t) if s in _VARIABLES)
     pre_filters = tuple(_pre_filter(spec) for spec in filters or ("",) * arity)
-    linear = _linear_sides(filters, shape, items)
-    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear=linear)
+    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear)
 
 
 REGISTRY = {row[0]: _entry(*row) for row in _ROWS}
@@ -683,11 +666,11 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
     counterexample; the first in lexicographic element order is reported
     through the row's own check on its characteristic subsets.
     """
-    masks = m.product_masks
+    alg = partial(_mask_product, m.product_masks), int.__and__, (1 << m.order) - 1
     checked = 0
     for xs in itertools.product([1 << x for x in range(m.order)], repeat=entry.arity):
         checked += 1
-        if any(lhs(masks, xs) != rhs(masks, xs) for lhs, rhs in entry.linear):
+        if any(lhs(alg, xs) != rhs(alg, xs) for lhs, rhs in entry.linear):
             violation = entry.check(m, *(characteristic(CrispSubset(m.order, x)) for x in xs))
             if violation is None:
                 raise AssertionError("a singleton tuple fails on masks but passes the row's check")
@@ -704,7 +687,7 @@ def _sampled_tuples(m, entry, lattice, seed, samples, budget):
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
             for j in range(entry.arity)
         )
-        if all(flt is None or flt(m, f) for flt, f in zip(entry.pre_filters, fs)):
+        if _admits(m, entry.pre_filters, fs):
             yield fs
 
 
@@ -741,7 +724,7 @@ def verify(
 
     if entry.family:
         family = _audited_family(m, lattice, budget)
-        violation = entry.family_check(m, family)
+        violation = entry.check(m, family)
         status = "holds" if violation is None else "counterexample"
         return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
 

@@ -109,7 +109,7 @@ def test_registry_entries_are_well_formed(m2):
         assert set(entry.hypotheses) <= set(HYPOTHESIS_NAMES)
         assert "gamma_ag" in entry.hypotheses
         if tid in FAMILY_IDS:
-            assert entry.family and entry.arity == 0 and entry.check is None
+            assert entry.family and entry.arity == 0 and callable(entry.check)
         else:
             assert not entry.family and 1 <= entry.arity <= 4
             assert callable(entry.check)
