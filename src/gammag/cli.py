@@ -102,6 +102,8 @@ def cmd_fuzzy(args) -> int:
         g = _load_fuzzy(args.g, m.order)
         _emit(gamma_product(m, f, g).to_dict())
         return 0
+    if args.g is not None:
+        raise InputError("classify takes one fuzzy file")
     kinds = classify_fuzzy(m, f)
     _emit({"kinds": {k: k in kinds for k in FUZZY_KINDS}})
     return 0
@@ -202,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("product", "classify"))
     p.add_argument("structure")
     p.add_argument("f", help="fuzzy JSON file {den, num}")
-    p.add_argument("g", nargs="?", default=None, help="second fuzzy file (product)")
+    p.add_argument("g", nargs="?", default=None, help="second fuzzy file (product only)")
     p.set_defaults(func=cmd_fuzzy)
 
     p = sub.add_parser("verify", help="check registered statements on a structure")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,6 +189,14 @@ def _ones(order: int) -> FuzzySubset:
     return FuzzySubset.ones(order)
 
 
+def _count(n: int) -> str:
+    """n in decimal, or a power-of-two bound on it where decimal text would pass Python's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
+
+
 # ---------------------------------------------------------------------------
 # family-level statements over the set of lattice-valued two-sided ideals
 
@@ -197,7 +206,7 @@ def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[Fuzzy
     total = lattice.count(m.order)
     if total > budget:
         raise CapacityError(
-            f"family enumeration needs {total} lattice subsets; budget is {budget}"
+            f"family enumeration needs {_count(total)} lattice subsets; budget is {budget}"
         )
     return [f for f in lattice.subsets(m.order) if "two_sided" in kinds_on_cuts(m, f, ("two_sided",))]
 
@@ -643,11 +652,25 @@ def _verdict(entry, status, lattice, mode, seed, requested, checked, failed=(), 
     )
 
 
-def _exhaustive_tuples(m, entry, lattice):
-    """Every tuple of lattice subsets, each position drawn from its pre-filtered pool."""
-    pool = list(lattice.subsets(m.order))
-    pools = [[f for f in pool if flt(m, f)] if flt else pool for flt in entry.pre_filters]
-    yield from itertools.product(*pools)
+def _exhaustive_pools(m, entry, lattice, budget):
+    """Each position's pre-filtered pool of lattice subsets; None where singletons decide the row.
+
+    The budget is charged the tuples the pools hold: a pre-filtered
+    position counts at its filtered pool, once the lattice itself fits the
+    budget. Past the budget a linear row is decided on its n^arity
+    singleton tuples, if they fit; any other request raises CapacityError.
+    """
+    count = lattice.count(m.order)
+    needed = count ** entry.arity
+    if count <= budget and (needed <= budget or any(entry.pre_filters)):
+        pool = list(lattice.subsets(m.order))
+        pools = [[f for f in pool if flt(m, f)] if flt else pool for flt in entry.pre_filters]
+        needed = math.prod(map(len, pools))
+        if needed <= budget:
+            return pools
+    elif entry.linear is not None and m.order ** entry.arity <= budget:
+        return None
+    raise CapacityError(f"exhaustive check needs {_count(needed)} tuples; budget is {budget}")
 
 
 def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
@@ -681,7 +704,7 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
 def _sampled_tuples(m, entry, lattice, seed, samples, budget):
     """The seeded draws, in counter order, that pass every pre-filter."""
     if samples * entry.arity > budget:
-        raise CapacityError(f"sampling needs {samples * entry.arity} draws; budget is {budget}")
+        raise CapacityError(f"sampling needs {_count(samples * entry.arity)} draws; budget is {budget}")
     for i in range(samples):
         fs = tuple(
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
@@ -729,15 +752,12 @@ def verify(
         return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
 
     if mode == "exhaustive":
-        needed = lattice.count(m.order) ** entry.arity
-        if needed > budget:
-            # singletons decide a linear row at every den, charged at n^arity tuples
-            if entry.linear is None or m.order ** entry.arity > budget:
-                raise CapacityError(f"exhaustive check needs {needed} tuples; budget is {budget}")
+        pools = _exhaustive_pools(m, entry, lattice, budget)
+        if pools is None:
             checked, violation = _singleton_decision(m, entry)
             status = "holds" if violation is None else "counterexample"
             return _verdict(entry, status, lattice, "singletons", seed, samples, checked, violation=violation)
-        tuples = _exhaustive_tuples(m, entry, lattice)
+        tuples = itertools.product(*pools)
     else:
         tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget)
     checked = 0

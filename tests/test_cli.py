@@ -201,6 +201,11 @@ def test_fuzzy_product_needs_second_file(capsys, fuzzy_files):
     assert code == 2 and "second fuzzy file" in err
 
 
+def test_fuzzy_classify_refuses_second_file(capsys, fuzzy_files):
+    code, out, err = run(capsys, "fuzzy", "classify", "ir5", *fuzzy_files)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_fuzzy_bad_vector(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"den": 2, "num": [3, 0, 0, 0, 0]}))
@@ -258,6 +263,26 @@ def test_verify_capacity_exit(capsys):
     # a family row: 165 two-sided ideals at den 8 need 165**3 triple checks
     code, out, err = run(capsys, "verify", "ir5", "--theorem", "semi1", "--lattice", "8")
     assert code == 3 and out == "" and "capacity" in err
+
+
+def test_verify_counts_past_the_digit_limit_are_capacity_stops(capsys):
+    big = str(10**900)  # (10**900 + 1)**5 lattice subsets
+    for tid in ("sf", "semi1"):
+        code, out, err = run(capsys, "verify", "ir5", "--theorem", tid, "--lattice", big)
+        assert code == 3 and out == "" and err.startswith("capacity:") and "Traceback" not in err
+    code, out, err = run_json(capsys, "verify", "ir5", "--theorem", "all", "--lattice", big)
+    assert code == 3 and "Traceback" not in err
+    details = [r["detail"] for r in out["results"] if r["status"] == "capacity_error"]
+    assert details and all(isinstance(d, str) and "at least 2**" in d for d in details)
+    code, out, err = run(capsys, "verify", "ir5", "--theorem", "trm_ii", "--mode", "sampled:1:" + "9" * 4300)
+    assert code == 3 and out == "" and err.startswith("capacity: sampling needs at least 2**")
+
+
+def test_verify_all_ir5_den3_decided(capsys):
+    # the four pre-filtered pair rows fit at their filtered pools (20*20 tuples)
+    code, out, _ = run_json(capsys, "verify", "ir5", "--theorem", "all", "--lattice", "3")
+    assert code == 0
+    assert {r["status"] for r in out["results"]} == {"holds"}
 
 
 def test_verify_linear_row_decided_on_singletons(capsys):
@@ -340,14 +365,15 @@ def test_verify_all_mixed_statuses_prefer_counterexample(capsys, m2_file):
 
 
 def test_verify_all_capacity_only(capsys):
-    # trm_i fits the budget on 9**3 singleton tuples; trm_ii needs 9**4
+    # trm_i fits the budget on 9**3 singleton tuples; trm_ii needs 9**4;
+    # rl_cap_quasi is charged at its 2*2 pre-filtered tuples
     code, out, _ = run_json(capsys, "verify", "ag9", "--theorem", "all", "--budget", "1000")
     assert code == 3
     statuses = [r["status"] for r in out["results"]]
-    assert statuses.count("capacity_error") == 2
+    assert statuses.count("capacity_error") == 1
     assert "counterexample" not in statuses
     stopped = [r["theorem"] for r in out["results"] if r["status"] == "capacity_error"]
-    assert stopped == ["trm_ii", "rl_cap_quasi"]
+    assert stopped == ["trm_ii"]
 
 
 def test_verify_all_jobs_flag_same_output(capsys, m2_file):

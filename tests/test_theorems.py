@@ -214,6 +214,45 @@ def test_capacity_error_raised_from_single_verify(ir5):
         verify(ir5, "trm_i", Lattice(1), budget=100)
 
 
+def test_capacity_error_for_counts_past_the_digit_limit(ir5):
+    # (10**900 + 1)**5 subsets: more than 4,300 decimal digits
+    with pytest.raises(CapacityError, match=r"^exhaustive check needs at least 2\*\*\d+ tuples; budget is 1000000$"):
+        verify(ir5, "sf", Lattice(10**900))
+    with pytest.raises(CapacityError, match=r"^family enumeration needs at least 2\*\*\d+ lattice subsets"):
+        verify(ir5, "semi1", Lattice(10**900))
+    with pytest.raises(CapacityError, match=r"^sampling needs at least 2\*\*\d+ draws; budget is 1000000$"):
+        verify(ir5, "trm_ii", Lattice(1), mode="sampled", seed=1, samples=10**4300 - 1)
+
+
+# pre-filtered rows whose full tuple space, (d+1)**(5*2), is over the
+# default budget while their filtered pools hold 20*20 (den 3) and
+# 35*35 (den 4) tuples
+PREFILTERED_PAIRS = ("rl_cap_quasi", "idemquasi_prod_bi", "prod_onesided", "cap_eq_prod")
+
+
+@pytest.mark.parametrize("den", (3, 4))
+@pytest.mark.parametrize("tid", PREFILTERED_PAIRS)
+def test_prefiltered_rows_charged_at_their_pools(ir5, tid, den):
+    verdict = verify(ir5, tid, Lattice(den))
+    assert verdict.to_dict() == verify(ir5, tid, Lattice(den), budget=20_000_000).to_dict()
+    assert verdict.status == "holds" and verdict.mode == "exhaustive"
+    if tid == "rl_cap_quasi":
+        assert verdict.checked == {3: 400, 4: 1225}[den]
+
+
+def test_prefiltered_charge_is_the_pool_product(ir5, m2):
+    # the lattice itself must fit before it is filtered: 1024 subsets here,
+    # and past that the stop keeps the unfiltered count
+    assert verify(ir5, "rl_cap_quasi", Lattice(3), budget=1024).checked == 400
+    with pytest.raises(CapacityError, match="^exhaustive check needs 1048576 tuples; budget is 1023$"):
+        verify(ir5, "rl_cap_quasi", Lattice(3), budget=1023)
+    # on m2 every subset with f(0) >= f(1) is left and right stable: 3 of
+    # the 4 crisp subsets, so 3*3 tuples fit a budget of 9, not of 8
+    assert verify(m2, "rl_cap_quasi", Lattice(1), budget=9).checked == 9
+    with pytest.raises(CapacityError, match="^exhaustive check needs 9 tuples; budget is 8$"):
+        verify(m2, "rl_cap_quasi", Lattice(1), budget=8)
+
+
 # ---------------------------------------------------------------------------
 # full batteries, statuses and applicable-tuple counts frozen
 
