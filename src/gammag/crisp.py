@@ -120,6 +120,8 @@ def subset_from_json(order: int, data) -> CrispSubset:
 
 
 def _check_carrier(m: GammaMagma, a: CrispSubset) -> None:
+    if not isinstance(a, CrispSubset):
+        raise InputError(f"expected a CrispSubset, got {type(a).__name__}")
     if a.size != m.order:
         raise InputError(f"subset size {a.size} does not match structure order {m.order}")
 

@@ -36,6 +36,10 @@ def _rational(v, what: str) -> Fraction:
 
 
 def _as_value(v) -> Fraction:
+    # a plain Fraction is in lowest terms over a positive denominator, so
+    # two integer comparisons place it in [0, 1] and it is kept as it is
+    if type(v) is Fraction and 0 <= v.numerator <= v.denominator:
+        return v
     value = _rational(v, "membership value")
     if not ZERO <= value <= ONE:
         raise InputError(f"membership value {value} outside [0, 1]")
@@ -49,7 +53,7 @@ class FuzzySubset:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(_as_value(v) for v in checked_collection(self.values, "fuzzy subset values"))
+        values = tuple(map(_as_value, checked_collection(self.values, "fuzzy subset values")))
         if not values:
             raise InputError("fuzzy subset needs at least one element")
         object.__setattr__(self, "values", values)
@@ -87,7 +91,14 @@ class FuzzySubset:
         return {"den": den, "num": list(num)}
 
 
+def _check_subset(f) -> None:
+    if not isinstance(f, FuzzySubset):
+        raise InputError(f"expected a FuzzySubset, got {type(f).__name__}")
+
+
 def _check_pair(f: FuzzySubset, g: FuzzySubset) -> None:
+    _check_subset(f)
+    _check_subset(g)
     if f.order != g.order:
         raise InputError(f"fuzzy subset order mismatch: {f.order} vs {g.order}")
 
@@ -108,6 +119,7 @@ def leq(f: FuzzySubset, g: FuzzySubset) -> bool:
 
 
 def _check_carrier(m: GammaMagma, f: FuzzySubset) -> None:
+    _check_subset(f)
     if f.order != m.order:
         raise InputError(f"fuzzy subset order {f.order} does not match structure order {m.order}")
 

@@ -462,9 +462,24 @@ def _equation(eq):
     return _render(lhs), _evaluator(lhs), _render(rhs), _evaluator(rhs)
 
 
-def _admits(m, tests, fs) -> bool:
-    """Whether each subset passes its position's kind test (None passes all)."""
-    return all(test is None or test(m, f) for test, f in zip(tests, fs))
+def _admits(held, tests, fs) -> bool:
+    """Whether each subset passes its position's kind test (None passes all);
+    held(f, kinds) answers as kinds_on_cuts does."""
+    return all(test is None or test(held, f) for test, f in zip(tests, fs))
+
+
+def _kind_memo(m):
+    """kinds_on_cuts on m, each (subset, kinds) decided once while the memo lives."""
+    memo = {}
+
+    def held(f, kinds):
+        key = f, kinds
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = kinds_on_cuts(m, f, kinds)
+        return found
+
+    return held
 
 
 def _conclusion(item):
@@ -493,16 +508,17 @@ def _holds(conclusions):
     steps = [_conclusion(item) for item in conclusions]
     guards = [guard for guard, _, _ in steps]
 
-    def check(m, *fs):
+    def check(m, *fs, held=None):
         alg = _subset_algebra(m)
+        held = held or partial(kinds_on_cuts, m)
         for guard, test, _ in steps:
-            if guard is None or _admits(m, guard, fs):
+            if guard is None or _admits(held, guard, fs):
                 v = test(m, alg, fs)
                 if v is not None:
                     return v
         return None
 
-    premise = None if None in guards else lambda m, *fs: any(_admits(m, guard, fs) for guard in guards)
+    premise = None if None in guards else lambda held, *fs: any(_admits(held, guard, fs) for guard in guards)
     return check, premise, [sides for _, _, sides in steps]
 
 
@@ -552,16 +568,17 @@ def _linear_sides(filters, items, sides):
     return None
 
 
+@cache
 def _pre_filter(spec):
-    """Membership test for one quantified position; None for no filter."""
+    """Membership test for one quantified position, one per spec; None for no filter."""
     if not spec:
         return None
     alternatives = [set(alt.split("&")) for alt in spec.split("|")]
-    named = set().union(*alternatives)
+    named = frozenset().union(*alternatives)
 
-    def test(m, f):
-        held = kinds_on_cuts(m, f, named)
-        return any(kinds <= held for kinds in alternatives)
+    def test(held, f):
+        found = held(f, named)
+        return any(kinds <= found for kinds in alternatives)
 
     return test
 
@@ -664,7 +681,12 @@ def _exhaustive_pools(m, entry, lattice, budget):
     needed = count ** entry.arity
     if count <= budget and (needed <= budget or any(entry.pre_filters)):
         pool = list(lattice.subsets(m.order))
-        pools = [[f for f in pool if flt(m, f)] if flt else pool for flt in entry.pre_filters]
+        held = partial(kinds_on_cuts, m)
+        filtered = {None: pool}  # positions with one spec share its compiled test and its pool
+        for flt in entry.pre_filters:
+            if flt not in filtered:
+                filtered[flt] = [f for f in pool if flt(held, f)]
+        pools = [filtered[flt] for flt in entry.pre_filters]
         needed = math.prod(map(len, pools))
         if needed <= budget:
             return pools
@@ -705,12 +727,13 @@ def _sampled_tuples(m, entry, lattice, seed, samples, budget):
     """The seeded draws, in counter order, that pass every pre-filter."""
     if samples * entry.arity > budget:
         raise CapacityError(f"sampling needs {_count(samples * entry.arity)} draws; budget is {budget}")
+    held = partial(kinds_on_cuts, m)
     for i in range(samples):
         fs = tuple(
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
             for j in range(entry.arity)
         )
-        if _admits(m, entry.pre_filters, fs):
+        if _admits(held, entry.pre_filters, fs):
             yield fs
 
 
@@ -760,12 +783,18 @@ def verify(
         tuples = itertools.product(*pools)
     else:
         tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget)
+    check, premise = entry.check, entry.premise
+    if premise is not None:
+        # a guard asks about the same pool members tuple after tuple, and
+        # the premise and the check ask alike: each is decided once per call
+        held = _kind_memo(m)
+        check, premise = partial(check, held=held), partial(premise, held)
     checked = 0
     for fs in tuples:
-        if entry.premise is not None and not entry.premise(m, *fs):
+        if premise is not None and not premise(*fs):
             continue
         checked += 1
-        violation = entry.check(m, *fs)
+        violation = check(m, *fs)
         if violation is not None:
             return _verdict(entry, "counterexample", lattice, mode, seed, samples, checked, violation=violation)
     return _verdict(entry, "holds", lattice, mode, seed, samples, checked)

@@ -30,9 +30,18 @@ from gammag.core import (
     structure_from_dict,
 )
 from gammag.cli import cmd_verify
-from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness
+from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness, set_product
 from gammag.finder import SearchSpec, enumerate_models, find_counterexample_structure
-from gammag.fuzzy import FuzzySubset, Lattice, fuzzy_from_dict, gamma_product, kinds_on_cuts, level_cut
+from gammag.fuzzy import (
+    FuzzySubset,
+    Lattice,
+    classify_fuzzy,
+    fuzzy_from_dict,
+    gamma_product,
+    kinds_on_cuts,
+    level_cut,
+    meet,
+)
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, sample_subset, two_sided_family, verify, verify_all
 
 # ---------------------------------------------------------------------------
@@ -514,6 +523,14 @@ _BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value)
 # a float keeps its binary value and a bool reads as 0 or 1: neither is exact
 _BAD_ARGUMENTS += [("FuzzySubset value", lambda v: FuzzySubset((v,)), value) for value in (0.1, True)]
 _BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value) for value in (0.1, True)]
+# a subset argument of the wrong type: a list, None, a tuple or a subset of the other kind
+_BAD_ARGUMENTS += [
+    ("gamma_product subset", lambda v: gamma_product(_M, v, _F), [1] * 2),
+    ("meet subset", lambda v: meet(_F, v), None),
+    ("kinds_on_cuts subset", lambda v: kinds_on_cuts(_M, v, ("left",)), CrispSubset(2, 3)),
+    ("classify_fuzzy subset", lambda v: classify_fuzzy(_M, v), (1,) * 2),
+    ("set_product subset", lambda v: set_product(_M, v, v), _F),
+]
 # a row that is a string or a set, or of the wrong length (a ragged table)
 _BAD_ARGUMENTS += [("GammaMagma table row", lambda v: GammaMagma(order=2, gamma=("a",), tables=((v, (0, 0)),)),
                     value) for value in ("01", {0, 1}, (0,))]

@@ -36,12 +36,32 @@ def test_subset_validation():
     assert f.support() == (0, 1)
     with pytest.raises(InputError):
         FuzzySubset(())
-    with pytest.raises(InputError):
-        FuzzySubset((Fraction(3, 2),))
-    with pytest.raises(InputError):
-        FuzzySubset((Fraction(-1, 2),))
+    for value in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(InputError) as exc:
+            FuzzySubset((value,))
+        assert str(exc.value) == f"membership value {value} outside [0, 1]"
     with pytest.raises(InputError):
         f(3)
+    # a tiny plain Fraction is in range; a subclass instance is stored as a plain Fraction
+    assert FuzzySubset((Fraction(1, 10**400),)).values == (Fraction(1, 10**400),)
+    stored = FuzzySubset((_Rational(1, 3),)).values[0]
+    assert type(stored) is Fraction and stored == Fraction(1, 3)
+
+
+class _Rational(Fraction):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_fraction_membership_kept_exactly_in_range(p, q):
+    value = Fraction(p, q)
+    if 0 <= value <= 1:
+        stored = FuzzySubset((value,)).values[0]
+        assert type(stored) is Fraction and stored == value
+    else:
+        with pytest.raises(InputError):
+            FuzzySubset((value,))
 
 
 def test_constant_builders():

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
-from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, leq, meet
+from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, kinds_on_cuts, leq, meet
 from gammag import theorems
 from gammag.theorems import (
     DEFAULT_TUPLE_BUDGET,
@@ -251,6 +251,22 @@ def test_prefiltered_charge_is_the_pool_product(ir5, m2):
     assert verify(m2, "rl_cap_quasi", Lattice(1), budget=9).checked == 9
     with pytest.raises(CapacityError, match="^exhaustive check needs 9 tuples; budget is 8$"):
         verify(m2, "rl_cap_quasi", Lattice(1), budget=8)
+
+
+@pytest.mark.parametrize("tid, den", [("prod_onesided", 4), ("idemquasi_prod_bi", 3)])
+def test_prefilter_and_guard_kinds_decided_once_per_verify(monkeypatch, ir5, tid, den):
+    # both positions share one filtered pool, and a guard asks the call's
+    # memo, so no (subset, kinds) question reaches kinds_on_cuts twice
+    asked = []
+
+    def counted(m, f, kinds):
+        asked.append((f, frozenset(kinds)))
+        return kinds_on_cuts(m, f, kinds)
+
+    monkeypatch.setattr(theorems, "kinds_on_cuts", counted)
+    verdict = verify(ir5, tid, Lattice(den))
+    assert verdict.status == "holds" and verdict.checked > 0
+    assert len(asked) == len(set(asked))
 
 
 # ---------------------------------------------------------------------------
