@@ -468,20 +468,6 @@ def _admits(held, tests, fs) -> bool:
     return all(test is None or test(held, f) for test, f in zip(tests, fs))
 
 
-def _kind_memo(m):
-    """kinds_on_cuts on m, each (subset, kinds) decided once while the memo lives."""
-    memo = {}
-
-    def held(f, kinds):
-        key = f, kinds
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = kinds_on_cuts(m, f, kinds)
-        return found
-
-    return held
-
-
 def _conclusion(item):
     """(guard: a kind test per variable or None, test returning the violation or None, equation closures or None)."""
     lhs, relation, rhs, *guard = item
@@ -504,7 +490,10 @@ def _conclusion(item):
 
 
 def _holds(conclusions):
-    """Checker, premise and each conclusion's equation closures for a "holds" row."""
+    """Checker, premise and each conclusion's equation closures for a "holds" row.
+
+    The checker's guards ask held(f, kinds), kinds_on_cuts on m unless the
+    caller passes a memo."""
     steps = [_conclusion(item) for item in conclusions]
     guards = [guard for guard, _, _ in steps]
 
@@ -590,7 +579,7 @@ class TheoremEntry:
     hypotheses: tuple[str, ...]
     arity: int  # 0 for a family row, whose check is called as check(m, family)
     check: Callable
-    premise: Callable | None = None
+    premise: Callable | None = None  # premise(held, *fs) for a guarded row, held(f, kinds) a kinds query
     pre_filters: tuple | None = None
     linear: tuple | None = None  # (lhs, rhs) closures of each equation of a linear row
 
@@ -682,11 +671,9 @@ def _exhaustive_pools(m, entry, lattice, budget):
     if count <= budget and (needed <= budget or any(entry.pre_filters)):
         pool = list(lattice.subsets(m.order))
         held = partial(kinds_on_cuts, m)
-        filtered = {None: pool}  # positions with one spec share its compiled test and its pool
-        for flt in entry.pre_filters:
-            if flt not in filtered:
-                filtered[flt] = [f for f in pool if flt(held, f)]
-        pools = [filtered[flt] for flt in entry.pre_filters]
+        # positions with one spec share its compiled test, so each pool is filtered once
+        filtered = {flt: [f for f in pool if flt(held, f)] for flt in set(entry.pre_filters) if flt}
+        pools = [filtered.get(flt, pool) for flt in entry.pre_filters]
         needed = math.prod(map(len, pools))
         if needed <= budget:
             return pools
@@ -787,7 +774,7 @@ def verify(
     if premise is not None:
         # a guard asks about the same pool members tuple after tuple, and
         # the premise and the check ask alike: each is decided once per call
-        held = _kind_memo(m)
+        held = cache(partial(kinds_on_cuts, m))
         check, premise = partial(check, held=held), partial(premise, held)
     checked = 0
     for fs in tuples:
