@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 
@@ -178,12 +178,24 @@ class GammaMagma:
         return checked_int(name, "element", 0, self.order - 1)
 
     @cached_property
-    def product_masks(self) -> tuple[tuple[int, ...], ...]:
-        """product_masks[x][y] has bit a set when some label takes x, y to a."""
-        return tuple(
-            tuple(sum({1 << table[x][y] for table in self.tables}) for y in range(self.order))
-            for x in range(self.order)
-        )
+    def row_unions(self) -> tuple[int, tuple[int, ...]]:
+        """(width, index): index[x * width + 256 * c + byte] has bit a set when
+        some label takes x and some y = 8c + j, bit j set in byte, to a; that
+        is, the products of x with the c-th byte of a subset mask. Each row x
+        spans width entries, 256 per full byte of the carrier and 2**w for a
+        last byte of w < 8 elements. Built on first use, never at construction."""
+        n = self.order
+        masks = [(0,) * n] * n  # masks[x][y]: every label's x g y
+        for table in self.tables:
+            masks = [[mask | 1 << v for mask, v in zip(row, entries)] for row, entries in zip(masks, table)]
+        index = []
+        for row in masks:
+            for c in range(0, n, 8):
+                unions = [0]
+                for mask in row[c:c + 8]:
+                    unions += [u | mask for u in unions]
+                index += unions
+        return len(index) // n, tuple(index)
 
     @property
     def every_element_factorizable(self) -> bool:
@@ -199,6 +211,13 @@ class GammaMagma:
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
+
+
+def checked_structure(value) -> GammaMagma:
+    """value, when it is a GammaMagma; else InputError."""
+    if isinstance(value, GammaMagma):
+        return value
+    raise InputError(f"expected a GammaMagma structure, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -285,6 +304,17 @@ def _mirror(variables: str, sides: tuple) -> str | None:
 LAW_MIRRORS = {law: _mirror(variables, sides) for law, (variables, _, sides) in LAW_TERMS.items()}
 
 
+def _fused_root(sides: tuple) -> int | None:
+    """The label slot both sides apply at their root, when it occurs nowhere else; else None."""
+    def slots(term):
+        return () if isinstance(term, str) else (term[0], *slots(term[1]), *slots(term[2]))
+
+    lhs, rhs = map(slots, sides)
+    if lhs and rhs and lhs[0] == rhs[0] and lhs[0] not in lhs[1:] + rhs[1:]:
+        return lhs[0]
+    return None
+
+
 def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     """First-failure scan for one LAW_TERMS row, as generated nested loops.
 
@@ -300,47 +330,80 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
     has equal sides; and a failing e above e' is beaten by e' under the
     same labels. So the least failing tuple is below its mirror and the
     witness is unchanged. A row outside LAW_TERMS scans every tuple.
+
+    A row whose sides apply one label slot at the root, and nowhere else,
+    has no loop over that slot: the scan reads both roots from the packed
+    entries (packed[p][q] holds every label's p g q, see _packed_entries),
+    which are equal exactly when the sides agree under every label of the
+    slot. So the first element tuple whose packed roots differ is the first
+    failing one, and the loops over every slot are run again at that tuple
+    alone to find its least failing labels.
     """
-    body = [[] for _ in range(len(variables) + slots)]
+    fused, n_vars = _fused_root(sides), len(variables)
+
+    def emit(skip):
+        # loop bodies by depth and the two sides' names; a product under the
+        # skipped slot reads the packed entries instead of one label's table
+        body = [[] for _ in range(n_vars + slots)]
+        local = {}
+
+        def value(term):
+            # (name holding the term's value, loop depth where it is known)
+            if isinstance(term, str):
+                i = variables.index(term)
+                return f"e{i}", i
+            if term not in local:
+                g, left, right = term
+                (a, da), (b, db) = value(left), value(right)
+                v = f"{'p' if g == skip else 'v'}{len(local)}"
+                row, depth = (f"P[{a}]", da) if g == skip else (f"T{g}[{a}]", max(n_vars + g, da))
+                if db > depth:  # the row is known before the column
+                    body[depth].append(f"r{v} = {row}")
+                    row, depth = f"r{v}", db
+                body[depth].append(f"{v} = {row}[{b}]")
+                local[term] = v, depth
+            return local[term]
+
+        return body, value(sides[0])[0], value(sides[1])[0]
+
+    def nest(loops, body, depths, indent):
+        # the loops at depths, each followed by its body
+        out = []
+        for depth in depths:
+            out += [" " * indent + loops[depth]] + [" " * (indent + 1) + line for line in body[depth]]
+            indent += 1
+        return out, indent
+
+    def witness(lhs, rhs, indent):
+        return [" " * indent + f"if {lhs} != {rhs}:",
+                " " * indent + f" return LawWitness({law!r}, ({elements}), ({labels}), {lhs}, {rhs})"]
+
+    elements = "".join(f"e{i}, " for i in range(n_vars))
+    labels = "".join(f"m.gamma[l{j}], " for j in range(slots))
+    outer, lhs, rhs = emit(fused)
     mirror = LAW_MIRRORS.get(law)
     if mirror is not None:
         # compare e with e' from the first variable its renaming moves;
         # the first position where they differ is the lesser of a pair
         pairs = [(i, variables.index(v)) for i, v in enumerate(mirror) if variables.index(v) > i]
         here, there = (", ".join(f"e{p[j]}" for p in pairs) for j in (0, 1))
-        body[max(j for p in pairs for j in p)].append(f"if ({here}) >= ({there}): continue")
-    local = {}
-
-    def value(term):
-        # (name holding the term's value, loop depth where it is known)
-        if isinstance(term, str):
-            i = variables.index(term)
-            return f"e{i}", i
-        if term not in local:
-            g, left, right = term
-            (a, da), (b, db) = value(left), value(right)
-            v, row, depth = len(local), f"T{g}[{a}]", max(len(variables) + g, da)
-            if db > depth:  # the row is known before the column
-                body[depth].append(f"r{v} = {row}")
-                row, depth = f"r{v}", db
-            body[depth].append(f"v{v} = {row}[{b}]")
-            local[term] = f"v{v}", depth
-        return local[term]
-
-    lhs, rhs = (value(side)[0] for side in sides)
-    loops = [f"for e{i} in rng:" for i in range(len(variables))]
-    loops += [f"for l{j}, T{j} in enumerate(t):" for j in range(slots)]
-    elements = "".join(f"e{i}, " for i in range(len(variables)))
-    labels = "".join(f"m.gamma[l{j}], " for j in range(slots))
-    src = ["def scan(m):", " t = m.tables", " rng = range(m.order)"]
-    for depth, loop in enumerate(loops):
-        src += [" " * (depth + 1) + loop] + [" " * (depth + 2) + line for line in body[depth]]
-    pad = " " * (len(loops) + 1)
-    src += [
-        f"{pad}if {lhs} != {rhs}:",
-        f"{pad} return LawWitness({law!r}, ({elements}), ({labels}), {lhs}, {rhs})",
-        " return None",
-    ]
+        outer[max(j for p in pairs for j in p)].insert(0, f"if ({here}) >= ({there}): continue")
+    loops = [f"for e{i} in rng:" for i in range(n_vars)] + [f"for l{j}, T{j} in enumerate(t):" for j in range(slots)]
+    src = ["def scan(m, P):", " t = m.tables", " rng = range(m.order)"]
+    if fused is None:
+        lines, indent = nest(loops, outer, range(n_vars + slots), 1)
+        src += lines + witness(lhs, rhs, indent)
+    else:
+        # the packed scan names no labels; at the first element tuple whose
+        # roots differ, every slot's loop runs for the least failing labels
+        bare = loops[:n_vars] + [f"for T{j} in t:" for j in range(slots)]
+        lines, indent = nest(bare, outer, [d for d in range(n_vars + slots) if d != n_vars + fused], 1)
+        src += lines + [" " * indent + f"if {lhs} != {rhs}:"]
+        inner, lhs, rhs = emit(None)
+        lines, deepest = nest(loops, inner, range(n_vars, n_vars + slots), indent + 1)
+        src += lines + witness(lhs, rhs, deepest)
+        src.append(" " * (indent + 1) + "raise AssertionError('the packed roots differ under no labels')")
+    src.append(" return None")
     namespace = {"LawWitness": LawWitness}
     exec(compile("\n".join(src), f"<{law} scan>", "exec"), namespace)
     return namespace["scan"]
@@ -349,8 +412,19 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
 _SCANS = {law: _compile_scan(law, *row) for law, row in LAW_TERMS.items()}
 
 
+def _packed_entries(m: GammaMagma) -> list[list[int]]:
+    """packed[p][q] holds the entries p g q of every label g, in label order,
+    as the base-order digits of one int: one comparison compares them all."""
+    n = m.order
+    packed = [(0,) * n] * n
+    for table in m.tables:
+        packed = [[acc * n + v for acc, v in zip(row, entries)] for row, entries in zip(packed, table)]
+    return packed
+
+
 def find_left_identity(m: GammaMagma) -> int | None:
     """Least e with e g x == x for every label g and element x, if any."""
+    checked_structure(m)
     for e in range(m.order):
         if all(table[e][x] == x for table in m.tables for x in range(m.order)):
             return e
@@ -359,7 +433,8 @@ def find_left_identity(m: GammaMagma) -> int | None:
 
 def check_laws(m: GammaMagma) -> LawReport:
     """Exhaustively decide every law, with first-failure witnesses."""
-    witnesses = {law: w for law, scan in _SCANS.items() if (w := scan(m)) is not None}
+    packed = _packed_entries(checked_structure(m))
+    witnesses = {law: w for law, scan in _SCANS.items() if (w := scan(m, packed)) is not None}
     report = LawReport(witnesses, find_left_identity(m))
     # The invertive law forces mediality, and together with the starred
     # law it forces paramediality; a violation here means a scan is wrong.
@@ -372,7 +447,8 @@ def check_laws(m: GammaMagma) -> LawReport:
 
 def check_single_law(m: GammaMagma, law: str) -> LawWitness | None:
     """Scan one equational law; None means it holds."""
-    return _SCANS[checked_name(law, "equational law", _SCANS)](m)
+    scan = _SCANS[checked_name(law, "equational law", _SCANS)]
+    return scan(m, _packed_entries(checked_structure(m)))
 
 
 TERM_PATTERNS = ("xy", "(xx)y", "x(yy)")

@@ -8,8 +8,10 @@ pure table scans, so everything here is exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
-from .core import CapacityError, GammaMagma, InputError, checked_int, checked_name
+from .core import CapacityError, GammaMagma, InputError, checked_int, checked_name, checked_structure
 
 IDEAL_KINDS = (
     "subgroupoid",
@@ -120,24 +122,37 @@ def subset_from_json(order: int, data) -> CrispSubset:
 
 
 def _check_carrier(m: GammaMagma, a: CrispSubset) -> None:
+    checked_structure(m)
     if not isinstance(a, CrispSubset):
         raise InputError(f"expected a CrispSubset, got {type(a).__name__}")
     if a.size != m.order:
         raise InputError(f"subset size {a.size} does not match structure order {m.order}")
 
 
-def _mask_product(masks, a: int, b: int) -> int:
-    """Mask of every x g y with x in mask a, y in mask b; masks is m.product_masks."""
-    out = 0
-    for row in masks:
-        if a & 1:
-            rest, y = b, 0
-            while rest:
-                if rest & 1:
-                    out |= row[y]
-                rest >>= 1
-                y += 1
-        a >>= 1
+def _mask_product(rows, a: int, b: int) -> int:
+    """Mask of every x g y with x in mask a, y in mask b; rows is m.row_unions.
+
+    One lookup per element of a and byte of b: the union of x's products
+    with the c-th byte of b sits at x * width + 256 * c + byte."""
+    width, index = rows
+    out = c = 0
+    while b:
+        byte, b = b & 255, b >> 8
+        rest, i = a, c + byte
+        while rest:
+            if rest & 1:
+                out |= index[i]
+            rest >>= 1
+            i += width
+        c += 256
+    return out
+
+
+def _shape_product(rows, shape: str, a: int, full: int) -> int:
+    """The product KIND_SHAPES spells by shape, with mask a for A and full for S."""
+    out = a if shape[0] == "A" else full
+    for factor in shape[1:]:
+        out = _mask_product(rows, out, a if factor == "A" else full)
     return out
 
 
@@ -145,7 +160,7 @@ def set_product(m: GammaMagma, a: CrispSubset, b: CrispSubset) -> CrispSubset:
     """All products x g y with x in a, y in b, over every gamma label."""
     _check_carrier(m, a)
     _check_carrier(m, b)
-    return CrispSubset(m.order, _mask_product(m.product_masks, a.bits, b.bits))
+    return CrispSubset(m.order, _mask_product(m.row_unions, a.bits, b.bits))
 
 
 class KindProducts(dict):
@@ -154,11 +169,10 @@ class KindProducts(dict):
     by every kind asked of A."""
 
     def __init__(self, m: GammaMagma, a: int):
-        super().__init__(A=a, S=(1 << m.order) - 1)
-        self.masks = m.product_masks
+        self["A"], self["S"], self.rows = a, (1 << m.order) - 1, m.row_unions
 
     def __missing__(self, shape: str) -> int:
-        p = self[shape] = _mask_product(self.masks, self[shape[:-1]], self[shape[-1]])
+        p = self[shape] = _mask_product(self.rows, self[shape[:-1]], self[shape[-1]])
         return p
 
     def has(self, kind: str) -> bool:
@@ -227,7 +241,7 @@ def intra_witness_valid(m: GammaMagma, w: IntraWitness) -> bool:
 
 def intra_regular_witness(m: GammaMagma, a: int) -> IntraWitness | None:
     """Lexicographically least (x, y, beta, xi, gamma) decomposing a, if any."""
-    checked_int(a, "element", 0, m.order - 1)
+    checked_int(a, "element", 0, checked_structure(m).order - 1)
     t = m.tables
     k = len(t)
     rng = range(m.order)
@@ -245,14 +259,24 @@ def intra_regular_witness(m: GammaMagma, a: int) -> IntraWitness | None:
 
 
 def is_intra_regular(m: GammaMagma) -> bool:
+    checked_structure(m)
     return all(intra_regular_witness(m, a) is not None for a in range(m.order))
 
 
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
-    """All non-empty subsets of the given kind, in ascending bit-pattern order."""
-    if m.order > ENUMERATION_ORDER_CAP:
+    """All non-empty subsets of the given kind, in ascending bit-pattern order.
+
+    The subsets are tested a part of the kind at a time, each part only on
+    the subsets that passed the parts before it.
+    """
+    if checked_structure(m).order > ENUMERATION_ORDER_CAP:
         raise CapacityError(
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
     checked_name(kind, "ideal kind", IDEAL_KINDS)
-    return [CrispSubset(m.order, a) for a in range(1, 1 << m.order) if KindProducts(m, a).has(kind)]
+    rows, full = m.row_unions, (1 << m.order) - 1
+    found = range(1, full + 1)
+    for part in KIND_PARTS.get(kind, (kind,)):
+        shapes = KIND_SHAPES[part]
+        found = [a for a in found if not reduce(and_, [_shape_product(rows, s, a, full) for s in shapes]) & ~a]
+    return [CrispSubset(m.order, a) for a in found]

@@ -16,7 +16,15 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
-from .core import GammaMagma, InputError, checked_collection, checked_int, checked_name, json_fields
+from .core import (
+    GammaMagma,
+    InputError,
+    checked_collection,
+    checked_int,
+    checked_name,
+    checked_structure,
+    json_fields,
+)
 from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
 
 ZERO = Fraction(0)
@@ -119,6 +127,7 @@ def leq(f: FuzzySubset, g: FuzzySubset) -> bool:
 
 
 def _check_carrier(m: GammaMagma, f: FuzzySubset) -> None:
+    checked_structure(m)
     _check_subset(f)
     if f.order != m.order:
         raise InputError(f"fuzzy subset order {f.order} does not match structure order {m.order}")

@@ -23,7 +23,16 @@ from functools import cache, partial
 from typing import Callable
 from weakref import WeakKeyDictionary
 
-from .core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws, checked_int, checked_name
+from .core import (
+    LAW_TERMS,
+    CapacityError,
+    GammaMagma,
+    InputError,
+    check_laws,
+    checked_int,
+    checked_name,
+    checked_structure,
+)
 from .crisp import CrispSubset, _mask_product, is_intra_regular
 from .fuzzy import (
     FuzzySubset,
@@ -46,7 +55,7 @@ _HYPOTHESES: WeakKeyDictionary = WeakKeyDictionary()
 
 def structure_hypotheses(m: GammaMagma) -> dict:
     """Which structure-level hypotheses m satisfies (cached while m lives)."""
-    hyps = _HYPOTHESES.get(m)
+    hyps = _HYPOTHESES.get(checked_structure(m))
     if hyps is None:
         report = check_laws(m)
         hyps = _HYPOTHESES[m] = {
@@ -698,7 +707,7 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
     counterexample; the first in lexicographic element order is reported
     through the row's own check on its characteristic subsets.
     """
-    alg = partial(_mask_product, m.product_masks), int.__and__, (1 << m.order) - 1
+    alg = partial(_mask_product, m.row_unions), int.__and__, (1 << m.order) - 1
     checked = 0
     for xs in itertools.product([1 << x for x in range(m.order)], repeat=entry.arity):
         checked += 1

@@ -92,6 +92,56 @@ LAW_PREDICATES = {
 }
 
 
+# each equational law as its element count, its label count and its two
+# sides at (T, e, l): T[g][x][y] is x g y, e the elements, l the label indices
+LAW_SIDES = {
+    "left_invertive": (3, 2, lambda T, e, l: (
+        T[l[1]][T[l[0]][e[0]][e[1]]][e[2]], T[l[1]][T[l[0]][e[2]][e[1]]][e[0]])),
+    "medial": (4, 3, lambda T, e, l: (
+        T[l[1]][T[l[0]][e[0]][e[1]]][T[l[2]][e[2]][e[3]]], T[l[1]][T[l[0]][e[0]][e[2]]][T[l[2]][e[1]][e[3]]])),
+    "ag_star_star": (3, 2, lambda T, e, l: (
+        T[l[0]][e[0]][T[l[1]][e[1]][e[2]]], T[l[0]][e[1]][T[l[1]][e[0]][e[2]]])),
+    "paramedial": (4, 3, lambda T, e, l: (
+        T[l[1]][T[l[0]][e[0]][e[1]]][T[l[2]][e[2]][e[3]]], T[l[1]][T[l[0]][e[3]][e[2]]][T[l[2]][e[1]][e[0]]])),
+    "commutative": (2, 1, lambda T, e, l: (T[l[0]][e[0]][e[1]], T[l[0]][e[1]][e[0]])),
+    "associative": (3, 2, lambda T, e, l: (
+        T[l[1]][T[l[0]][e[0]][e[1]]][e[2]], T[l[0]][e[0]][T[l[1]][e[1]][e[2]]])),
+    "band": (1, 1, lambda T, e, l: (T[l[0]][e[0]][e[0]], e[0])),
+}
+
+
+def naive_least_witness(m, law):
+    """The least failing (elements, labels, lhs, rhs) of law, elements
+    compared before labels, both ascending; None when the law holds."""
+    elements, labels, sides = LAW_SIDES[law]
+    for e in itertools.product(range(m.order), repeat=elements):
+        for l in itertools.product(range(len(m.tables)), repeat=labels):
+            lhs, rhs = sides(m.tables, e, l)
+            if lhs != rhs:
+                return e, l, lhs, rhs
+    return None
+
+
+def naive_law_report(m, predicates=True):
+    """check_laws(m).to_dict() by brute force: flags from the law_*
+    predicates (from the witness search alone when predicates is false),
+    the least witness of each failed law and the least left identity."""
+    flat, n, k = magma_flat(m), m.order, len(m.gamma)
+    witnesses = {}
+    for law in LAW_SIDES:
+        w = naive_least_witness(m, law)
+        if w is not None:
+            e, l, lhs, rhs = w
+            witnesses[law] = {"law": law, "elements": list(e), "gamma": [m.gamma[g] for g in l],
+                              "lhs": lhs, "rhs": rhs}
+    laws = {law: law not in witnesses for law in LAW_SIDES}
+    laws["has_left_identity"] = law_has_left_identity(flat, n, k)
+    if predicates:
+        laws = {law: pred(flat, n, k) for law, pred in LAW_PREDICATES.items()}
+    identities = [e for e in range(n) if all(_ap(flat, n, g, e, x) == x for g in range(k) for x in range(n))]
+    return {"laws": laws, "witnesses": witnesses, "left_identity": identities[0] if identities else None}
+
+
 def magma_flat(m):
     return tuple(
         m.tables[g][x][y]

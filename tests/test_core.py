@@ -24,13 +24,21 @@ from gammag.core import (
     check_laws,
     check_single_law,
     dump_structure,
+    find_left_identity,
     from_base_with_terms,
     integer_op_eval,
     load_structure,
     structure_from_dict,
 )
 from gammag.cli import cmd_verify
-from gammag.crisp import CrispSubset, enumerate_ideals, intra_regular_witness, set_product
+from gammag.crisp import (
+    CrispSubset,
+    classify_subset,
+    enumerate_ideals,
+    intra_regular_witness,
+    is_intra_regular,
+    set_product,
+)
 from gammag.finder import SearchSpec, enumerate_models, find_counterexample_structure
 from gammag.fuzzy import (
     FuzzySubset,
@@ -42,7 +50,15 @@ from gammag.fuzzy import (
     level_cut,
     meet,
 )
-from gammag.theorems import DEFAULT_TUPLE_BUDGET, sample_subset, two_sided_family, verify, verify_all
+from gammag.theorems import (
+    DEFAULT_TUPLE_BUDGET,
+    sample_subset,
+    semilattice_report,
+    structure_hypotheses,
+    two_sided_family,
+    verify,
+    verify_all,
+)
 
 # ---------------------------------------------------------------------------
 # construction and accessors
@@ -208,6 +224,37 @@ def test_law_scans_find_the_least_failure():
             assert got == _least_failure(m, law), (m.tables, law)
 
 
+def test_law_reports_match_brute_force(ir5, ag9):
+    # every table of order <= 2 with 1-2 labels, the corpus, and seeded
+    # order-3/4 tables with 2-3 labels (most fail the laws, so witnesses
+    # are compared at every depth); packed roots decide the root label
+    structures = [
+        GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tuple(
+            tuple(flat[g * n * n + x * n:g * n * n + x * n + n] for x in range(n)) for g in range(k)))
+        for n in (1, 2)
+        for k in (1, 2)
+        for flat in itertools.product(range(n), repeat=k * n * n)
+    ]
+    assert len(structures) == 1 + 1 + 2**4 + 2**8
+    rng = random.Random(20116)
+    for _ in range(120):
+        n, k = rng.choice((3, 4)), rng.choice((2, 3))
+        tables = tuple(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(k))
+        structures.append(GammaMagma(order=n, gamma=tuple("abc"[:k]), tables=tables))
+    for m in [*structures, ir5, ag9]:
+        assert check_laws(m).to_dict() == oracles.naive_law_report(m), m.tables
+
+
+def test_law_reports_match_brute_force_on_the_catalog():
+    # all 2,327 order-3 three-label left-invertive models, where the root
+    # label of five laws is packed; the witness search alone sets the flags
+    # here, as the law_* predicates agree with it above and take seconds more
+    catalog = list(enumerate_models(SearchSpec(order=3, gamma_count=3)))
+    assert len(catalog) == 2327
+    for m in catalog:
+        assert check_laws(m).to_dict() == oracles.naive_law_report(m, predicates=False), m.tables
+
+
 def test_mirror_renamings():
     # the renamings that swap the two sides, which the law scans prune by
     want = {
@@ -249,7 +296,7 @@ def test_law_implications_on_enumerated_models(li_models_small):
 def test_broken_law_scan_is_caught(ir5, monkeypatch):
     # ir5 is left invertive, so a medial scan that reports a failure
     # contradicts the implication check_laws guards (also under python -O)
-    def broken(m):
+    def broken(m, packed):
         return LawWitness("medial", (0, 0, 0, 0), (m.gamma[0],) * 3, 0, 1)
 
     monkeypatch.setitem(core._SCANS, "medial", broken)
@@ -542,6 +589,34 @@ _BAD_ARGUMENTS += [("GammaMagma table row", lambda v: GammaMagma(order=2, gamma=
 )
 def test_malformed_argument_is_input_error(call, value):
     with pytest.raises(InputError):
+        call(value)
+
+
+# every entry point that takes a structure refuses anything but a GammaMagma
+_STRUCTURE_ARGUMENTS = [
+    ("check_laws", check_laws),
+    ("check_single_law", lambda v: check_single_law(v, "medial")),
+    ("find_left_identity", find_left_identity),
+    ("enumerate_ideals", lambda v: enumerate_ideals(v, "left")),
+    ("classify_subset", lambda v: classify_subset(v, CrispSubset(2, 1))),
+    ("set_product", lambda v: set_product(v, CrispSubset(2, 1), CrispSubset(2, 3))),
+    ("is_intra_regular", is_intra_regular),
+    ("intra_regular_witness", lambda v: intra_regular_witness(v, 0)),
+    ("gamma_product", lambda v: gamma_product(v, _F, _F)),
+    ("classify_fuzzy", lambda v: classify_fuzzy(v, _F)),
+    ("kinds_on_cuts", lambda v: kinds_on_cuts(v, _F, ("left",))),
+    ("verify", lambda v: verify(v, "sf", _ONE)),
+    ("structure_hypotheses", structure_hypotheses),
+    ("semilattice_report", lambda v: semilattice_report(v, _ONE)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value", [(call, value) for _, call in _STRUCTURE_ARGUMENTS for value in ("ir5", None, _M.tables)],
+    ids=[f"{name}={value}" for name, _ in _STRUCTURE_ARGUMENTS for value in ("'ir5'", None, "tables")],
+)
+def test_structure_argument_of_wrong_type_is_input_error(call, value):
+    with pytest.raises(InputError, match="expected a GammaMagma"):
         call(value)
 
 
