@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from pathlib import Path
 
 
@@ -374,12 +374,6 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
             indent += 1
         return out, indent
 
-    def witness(lhs, rhs, indent):
-        return [" " * indent + f"if {lhs} != {rhs}:",
-                " " * indent + f" return LawWitness({law!r}, ({elements}), ({labels}), {lhs}, {rhs})"]
-
-    elements = "".join(f"e{i}, " for i in range(n_vars))
-    labels = "".join(f"m.gamma[l{j}], " for j in range(slots))
     outer, lhs, rhs = emit(fused)
     mirror = LAW_MIRRORS.get(law)
     if mirror is not None:
@@ -389,20 +383,23 @@ def _compile_scan(law: str, variables: str, slots: int, sides: tuple):
         here, there = (", ".join(f"e{p[j]}" for p in pairs) for j in (0, 1))
         outer[max(j for p in pairs for j in p)].insert(0, f"if ({here}) >= ({there}): continue")
     loops = [f"for e{i} in rng:" for i in range(n_vars)] + [f"for l{j}, T{j} in enumerate(t):" for j in range(slots)]
-    src = ["def scan(m, P):", " t = m.tables", " rng = range(m.order)"]
-    if fused is None:
-        lines, indent = nest(loops, outer, range(n_vars + slots), 1)
-        src += lines + witness(lhs, rhs, indent)
-    else:
+    lines, indent = nest(loops, outer, range(n_vars), 1)
+    src = ["def scan(m, P):", " t = m.tables", " rng = range(m.order)", *lines]
+    if fused is not None:
         # the packed scan names no labels; at the first element tuple whose
-        # roots differ, every slot's loop runs for the least failing labels
+        # roots differ, the loops over every slot below find the least labels
         bare = loops[:n_vars] + [f"for T{j} in t:" for j in range(slots)]
-        lines, indent = nest(bare, outer, [d for d in range(n_vars + slots) if d != n_vars + fused], 1)
+        lines, indent = nest(bare, outer, [n_vars + j for j in range(slots) if j != fused], indent)
         src += lines + [" " * indent + f"if {lhs} != {rhs}:"]
-        inner, lhs, rhs = emit(None)
-        lines, deepest = nest(loops, inner, range(n_vars, n_vars + slots), indent + 1)
-        src += lines + witness(lhs, rhs, deepest)
-        src.append(" " * (indent + 1) + "raise AssertionError('the packed roots differ under no labels')")
+        indent += 1
+    inner, lhs, rhs = emit(None)
+    lines, deepest = nest(loops, inner, range(n_vars, n_vars + slots), indent)
+    elements = "".join(f"e{i}, " for i in range(n_vars))
+    labels = "".join(f"m.gamma[l{j}], " for j in range(slots))
+    src += lines + [" " * deepest + f"if {lhs} != {rhs}:",
+                    " " * deepest + f" return LawWitness({law!r}, ({elements}), ({labels}), {lhs}, {rhs})"]
+    if fused is not None:
+        src.append(" " * indent + "raise AssertionError('the packed roots differ under no labels')")
     src.append(" return None")
     namespace = {"LawWitness": LawWitness}
     exec(compile("\n".join(src), f"<{law} scan>", "exec"), namespace)

@@ -184,50 +184,11 @@ def test_witnesses_are_lexicographically_first(ag9):
     assert w.render(ag9)  # render stays printable
 
 
-def _least_failure(m, law):
-    """Least failing (elements, labels) of a LAW_TERMS row by a plain loop, with both sides."""
-    variables, slots, (lhs, rhs) = core.LAW_TERMS[law]
-
-    def value(term, env, labels):
-        if isinstance(term, str):
-            return env[term]
-        g, left, right = term
-        return m.tables[labels[g]][value(left, env, labels)][value(right, env, labels)]
-
-    for elements in itertools.product(range(m.order), repeat=len(variables)):
-        env = dict(zip(variables, elements))
-        for labels in itertools.product(range(len(m.gamma)), repeat=slots):
-            a, b = value(lhs, env, labels), value(rhs, env, labels)
-            if a != b:
-                return elements, tuple(m.gamma[g] for g in labels), a, b
-    return None
-
-
-def test_law_scans_find_the_least_failure():
-    # every order-2 table with 1-2 labels, and seeded order-3 ones with 1-3
-    structures = [
-        GammaMagma(order=2, gamma=tuple("ab"[:k]), tables=tuple(
-            (flat[4 * g:4 * g + 2], flat[4 * g + 2:4 * g + 4]) for g in range(k)))
-        for k in (1, 2)
-        for flat in itertools.product(range(2), repeat=4 * k)
-    ]
-    rng = random.Random(20107)
-    for _ in range(150):
-        k = rng.randint(1, 3)
-        tables = tuple(tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)) for _ in range(k))
-        structures.append(GammaMagma(order=3, gamma=tuple("abc"[:k]), tables=tables))
-    for m in structures:
-        witnesses = check_laws(m).witnesses
-        for law in core.LAW_TERMS:
-            w = witnesses.get(law)
-            got = None if w is None else (w.elements, w.labels, w.lhs, w.rhs)
-            assert got == _least_failure(m, law), (m.tables, law)
-
-
-def test_law_reports_match_brute_force(ir5, ag9):
-    # every table of order <= 2 with 1-2 labels, the corpus, and seeded
-    # order-3/4 tables with 2-3 labels (most fail the laws, so witnesses
-    # are compared at every depth); packed roots decide the root label
+def test_law_scans_find_the_least_failure(ir5, ag9):
+    # check_laws(m).to_dict() against brute force: every table of order <= 2
+    # with 1-2 labels, seeded order-3 ones with 1-3 labels, seeded order-3/4
+    # ones with 2-3 labels (most fail the laws, so witnesses are compared at
+    # every depth, packed root labels included), and the corpus
     structures = [
         GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tuple(
             tuple(flat[g * n * n + x * n:g * n * n + x * n + n] for x in range(n)) for g in range(k)))
@@ -236,6 +197,11 @@ def test_law_reports_match_brute_force(ir5, ag9):
         for flat in itertools.product(range(n), repeat=k * n * n)
     ]
     assert len(structures) == 1 + 1 + 2**4 + 2**8
+    rng = random.Random(20107)
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        tables = tuple(tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)) for _ in range(k))
+        structures.append(GammaMagma(order=3, gamma=tuple("abc"[:k]), tables=tables))
     rng = random.Random(20116)
     for _ in range(120):
         n, k = rng.choice((3, 4)), rng.choice((2, 3))
