@@ -115,6 +115,11 @@ def _as_tables(tables, order):
     return tuple(out)
 
 
+# GammaMagma.row_unions holds at most max(ROW_UNION_BUDGET, 2 * order**2)
+# entries: its chunks narrow below 8 bits at the orders where 8 would hold more.
+ROW_UNION_BUDGET = 1 << 14
+
+
 @dataclass(frozen=True)
 class GammaMagma:
     """Immutable family of multiplication tables over a common carrier.
@@ -178,24 +183,29 @@ class GammaMagma:
         return checked_int(name, "element", 0, self.order - 1)
 
     @cached_property
-    def row_unions(self) -> tuple[int, tuple[int, ...]]:
-        """(width, index): index[x * width + 256 * c + byte] has bit a set when
-        some label takes x and some y = 8c + j, bit j set in byte, to a; that
-        is, the products of x with the c-th byte of a subset mask. Each row x
-        spans width entries, 256 per full byte of the carrier and 2**w for a
-        last byte of w < 8 elements. Built on first use, never at construction."""
+    def row_unions(self) -> tuple[int, int, tuple[int, ...]]:
+        """(w, width, index): index[x * width + 2**w * c + chunk] has bit a set
+        when some label takes x and some y = w*c + j, bit j set in chunk, to a;
+        that is, the products of x with the c-th w-bit chunk of a subset mask.
+        Each row x spans width entries, 2**w per full chunk and 2**r for a
+        last chunk of r < w elements. w is the widest chunk of at most 8 bits
+        that keeps the index within ROW_UNION_BUDGET entries, and 1 when none
+        does: then index[2 * (x * order + y) + 1] is every label's x g y, one
+        mask per table cell. Built on first use, never at construction."""
         n = self.order
-        masks = [(0,) * n] * n  # masks[x][y]: every label's x g y
-        for table in self.tables:
-            masks = [[mask | 1 << v for mask, v in zip(row, entries)] for row, entries in zip(masks, table)]
+        fits = (w for w in range(8, 1, -1) if n * sum(1 << min(w, n - c) for c in range(0, n, w)) <= ROW_UNION_BUDGET)
+        w = next(fits, 1)
         index = []
-        for row in masks:
-            for c in range(0, n, 8):
+        for rows in zip(*self.tables):  # rows: row x of every table
+            masks = (0,) * n  # masks[y]: every label's x g y
+            for entries in rows:
+                masks = [mask | 1 << v for mask, v in zip(masks, entries)]
+            for c in range(0, n, w):
                 unions = [0]
-                for mask in row[c:c + 8]:
+                for mask in masks[c:c + w]:
                     unions += [u | mask for u in unions]
                 index += unions
-        return len(index) // n, tuple(index)
+        return w, len(index) // n, tuple(index)
 
     @property
     def every_element_factorizable(self) -> bool:

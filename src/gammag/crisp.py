@@ -132,19 +132,19 @@ def _check_carrier(m: GammaMagma, a: CrispSubset) -> None:
 def _mask_product(rows, a: int, b: int) -> int:
     """Mask of every x g y with x in mask a, y in mask b; rows is m.row_unions.
 
-    One lookup per element of a and byte of b: the union of x's products
-    with the c-th byte of b sits at x * width + 256 * c + byte."""
-    width, index = rows
-    out = c = 0
+    One lookup per element of a and w-bit chunk of b: the union of x's
+    products with the c-th chunk of b sits at x * width + 2**w * c + chunk."""
+    w, width, index = rows
+    low, out, c = (1 << w) - 1, 0, 0
     while b:
-        byte, b = b & 255, b >> 8
-        rest, i = a, c + byte
+        chunk, b = b & low, b >> w
+        rest, i = a, c + chunk
         while rest:
             if rest & 1:
                 out |= index[i]
             rest >>= 1
             i += width
-        c += 256
+        c += low + 1
     return out
 
 

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 import oracles
-from gammag.core import CapacityError, GammaMagma, InputError
+from gammag.core import ROW_UNION_BUDGET, CapacityError, GammaMagma, InputError
 from gammag.crisp import (
     IDEAL_KINDS,
     CrispSubset,
@@ -72,6 +73,21 @@ def test_set_product_matches_naive_everywhere(ir5):
         got = set(set_product(ir5, a, b))
         want = oracles.naive_set_product(ir5, set(a), set(b))
         assert got == want
+
+
+@pytest.mark.parametrize("order, width", [(1, 8), (9, 8), (30, 7), (45, 5), (64, 4), (100, 1), (256, 1)])
+def test_set_product_matches_naive_at_every_chunk_width(order, width):
+    # the row-union index narrows its chunks as the order grows, and holds
+    # at most max(ROW_UNION_BUDGET, 2 * order**2) entries at any order
+    rng = random.Random(order)
+    tables = [[[rng.randrange(order) for _ in range(order)] for _ in range(order)] for _ in range(2)]
+    m = GammaMagma(order, ("a", "b"), tables)
+    w, _, index = m.row_unions
+    assert w == width
+    assert len(index) <= max(ROW_UNION_BUDGET, 2 * order * order)
+    for _ in range(10):
+        a, b = (CrispSubset(order, rng.getrandbits(order)) for _ in range(2))
+        assert set(set_product(m, a, b)) == oracles.naive_set_product(m, set(a), set(b))
 
 
 def test_set_product_carrier_mismatch(ir5):

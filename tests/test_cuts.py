@@ -50,7 +50,7 @@ def test_fuzzy_kinds_match_naive_on_every_lattice_subset(structures):
 
 def test_crisp_kind_paths_match_naive_on_every_subset(li_models_small, ag9):
     # every left-invertive model of order <= 3 with 1-3 labels, and ag9,
-    # whose order-9 masks span two bytes of the row-union index
+    # whose order-9 masks span two 8-bit chunks of the row-union index
     three_labels = [m for n in (1, 2, 3) for m in enumerate_models(SearchSpec(order=n, gamma_count=3))]
     rng = random.Random(20116)
     for m in [*li_models_small, *three_labels, ag9]:
