@@ -49,6 +49,13 @@ def checked_collection(value, what: str, kinds: tuple = (list, tuple)):
     raise InputError(f"{what} must be a {' or a '.join(kind.__name__ for kind in kinds)}")
 
 
+def checked_instance(value, kind: type):
+    """value, when it is an instance of kind; else InputError."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"expected {kind.__name__}, got {type(value).__name__}")
+
+
 def json_fields(d, what: str, required: tuple, optional: tuple = ()) -> tuple:
     """The required fields of the JSON object d, once it is known to hold
     every required key and no key outside required and optional."""
@@ -230,7 +237,7 @@ def checked_structure(value) -> GammaMagma:
     raise InputError(f"expected a GammaMagma structure, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LawWitness:
     """One substitution that makes the two sides of a law differ."""
 
@@ -529,4 +536,4 @@ def canonical_json(obj) -> str:
 
 
 def dump_structure(m: GammaMagma, path) -> None:
-    Path(path).write_text(canonical_json(m.to_dict()) + "\n")
+    Path(path).write_text(canonical_json(checked_structure(m).to_dict()) + "\n")

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .core import CapacityError, GammaMagma, InputError, checked_int, checked_name, checked_structure
+from .core import (
+    CapacityError,
+    GammaMagma,
+    InputError,
+    checked_instance,
+    checked_int,
+    checked_name,
+    checked_structure,
+)
 
 IDEAL_KINDS = (
     "subgroupoid",
@@ -48,7 +56,7 @@ KIND_PARTS = {
 ENUMERATION_ORDER_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrispSubset:
     """Subset of a carrier of known size, stored as a bitmask."""
 
@@ -201,7 +209,7 @@ def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
     return kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntraWitness:
     """Decomposition a = (x b (a xi a)) g y for a single element a."""
 
@@ -234,6 +242,8 @@ class IntraWitness:
 
 
 def intra_witness_valid(m: GammaMagma, w: IntraWitness) -> bool:
+    checked_structure(m)
+    checked_instance(w, IntraWitness)
     inner = m.apply(w.element, w.xi, w.element)
     left = m.apply(w.x, w.beta, inner)
     return m.apply(left, w.gamma, w.y) == w.element

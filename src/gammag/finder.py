@@ -32,6 +32,7 @@ from .core import (
     LAW_TERMS,
     check_single_law,
     checked_collection,
+    checked_instance,
     checked_int,
     checked_name,
     find_left_identity,
@@ -177,17 +178,18 @@ def _iso_group(
     return out
 
 
-def _gamma_labels(k: int) -> tuple[str, ...]:
-    return tuple(string.ascii_lowercase[:k])
-
-
-def _build_magma(t: list[int], n: int, k: int) -> GammaMagma:
+def _build_magma(t: list[int], n: int, gamma: tuple[str, ...], rows: dict) -> GammaMagma:
+    """The model whose tables t holds, each row taken from rows, which maps
+    a row tuple to its first copy: the models of one search share equal rows."""
     n2 = n * n
-    tables = tuple(
-        tuple(tuple(t[g * n2 + x * n : g * n2 + x * n + n]) for x in range(n))
-        for g in range(k)
-    )
-    return GammaMagma(order=n, gamma=_gamma_labels(k), tables=tables)
+    tables = []
+    for g in range(0, len(gamma) * n2, n2):
+        table = []
+        for i in range(g, g + n2, n):
+            row = tuple(t[i : i + n])
+            table.append(rows.setdefault(row, row))
+        tables.append(tuple(table))
+    return GammaMagma(order=n, gamma=gamma, tables=tuple(tables))
 
 
 def _search(spec: SearchSpec, build: bool):
@@ -216,6 +218,8 @@ def _search(spec: SearchSpec, build: bool):
         watch[wake[0]].append((sigma, pre, wake, 0))
     needs_left_identity = "has_left_identity" in spec.laws
     build = build or needs_left_identity or spec.intra_regular
+    # the emitted models share their label tuple and their equal rows
+    gamma, rows = tuple(string.ascii_lowercase[:k]), {}
     nodes = emitted = 0
 
     def dominated(depth, trail):
@@ -290,7 +294,7 @@ def _search(spec: SearchSpec, build: bool):
                 continue
             # the existential law and intra-regularity are decided on
             # the completed structure
-            m = _build_magma(t, n, k) if build else None
+            m = _build_magma(t, n, gamma, rows) if build else None
             if (needs_left_identity and find_left_identity(m) is None
                     or spec.intra_regular and not is_intra_regular(m)):
                 continue
@@ -304,13 +308,13 @@ def enumerate_models(spec: SearchSpec):
     frontier before the search when the isomorphism group or the law
     instances outnumber the node budget, and mid-stream, with the frontier
     reached, when the node cap runs out."""
-    return _search(spec, build=True)
+    return _search(checked_instance(spec, SearchSpec), build=True)
 
 
 def count_models(spec: SearchSpec) -> int:
     """How many structures enumerate_models(spec) yields, or its SearchBudgetError;
     a model is built only where has_left_identity or intra_regular needs one."""
-    return sum(1 for _ in _search(spec, build=False))
+    return sum(1 for _ in _search(checked_instance(spec, SearchSpec), build=False))
 
 
 _PROPERTY_CHECKS = {

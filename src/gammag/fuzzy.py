@@ -20,6 +20,7 @@ from .core import (
     GammaMagma,
     InputError,
     checked_collection,
+    checked_instance,
     checked_int,
     checked_name,
     checked_structure,
@@ -149,11 +150,13 @@ def gamma_product(m: GammaMagma, f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
 
 
 def characteristic(a: CrispSubset) -> FuzzySubset:
+    checked_instance(a, CrispSubset)
     return FuzzySubset(tuple(ONE if i in a else ZERO for i in range(a.size)))
 
 
 def level_cut(f: FuzzySubset, t) -> CrispSubset:
     """Elements with membership at least t; t must be positive."""
+    _check_subset(f)
     threshold = _rational(t, "level cut threshold")
     if threshold <= ZERO:
         raise InputError("level cut threshold must be positive")
@@ -320,6 +323,7 @@ class Lattice:
             yield FuzzySubset(values)
 
     def contains(self, f: FuzzySubset) -> bool:
+        _check_subset(f)
         return all((v * self.den).denominator == 1 for v in f.values)
 
 

@@ -29,6 +29,7 @@ from .core import (
     GammaMagma,
     InputError,
     check_laws,
+    checked_instance,
     checked_int,
     checked_name,
     checked_structure,
@@ -212,7 +213,7 @@ def _count(n: int) -> str:
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
     checked_int(budget, "budget", 1)
-    total = lattice.count(m.order)
+    total = checked_instance(lattice, Lattice).count(checked_structure(m).order)
     if total > budget:
         raise CapacityError(
             f"family enumeration needs {_count(total)} lattice subsets; budget is {budget}"
@@ -735,6 +736,7 @@ def _sampled_tuples(m, entry, lattice, seed, samples, budget):
 
 def _check_request(lattice, mode, seed, samples, budget) -> None:
     """Reject a malformed verify request before any work starts."""
+    checked_instance(lattice, Lattice)
     if checked_name(mode, "mode", ("exhaustive", "sampled")) == "sampled":
         checked_int(seed, "seed")
         checked_int(samples, "sample count", 1)
@@ -874,6 +876,7 @@ class SemilatticeReport:
 
 def semilattice_report(m: GammaMagma, lattice: Lattice, budget: int = DEFAULT_TUPLE_BUDGET) -> SemilatticeReport:
     """Exhaustive semilattice audit of the lattice-valued two-sided family."""
+    checked_instance(lattice, Lattice)
     hyps = structure_hypotheses(m)
     missing = [h for h in REGISTRY["semi1"].hypotheses if not hyps[h]]
     if missing:

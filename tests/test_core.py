@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import random
 import types
 from fractions import Fraction
@@ -36,13 +37,15 @@ from gammag.crisp import (
     classify_subset,
     enumerate_ideals,
     intra_regular_witness,
+    intra_witness_valid,
     is_intra_regular,
     set_product,
 )
-from gammag.finder import SearchSpec, enumerate_models, find_counterexample_structure
+from gammag.finder import SearchSpec, count_models, enumerate_models, find_counterexample_structure
 from gammag.fuzzy import (
     FuzzySubset,
     Lattice,
+    characteristic,
     classify_fuzzy,
     fuzzy_from_dict,
     gamma_product,
@@ -444,6 +447,8 @@ def test_canonical_json_is_stable():
 _M = GammaMagma(order=2, gamma=("a", "b"), tables=(((0, 1), (1, 0)), ((1, 1), (0, 1))), labels=("p", "q"))
 _F = FuzzySubset((Fraction(1, 2), Fraction(1)))
 _ONE = Lattice(1)
+# order 1 meets every hypothesis, so a call on it gets past the hypothesis checks
+_TRIVIAL = GammaMagma(order=1, gamma=("a",), tables=(((0,),),))
 
 
 def _cli_verify(jobs):
@@ -543,7 +548,21 @@ _BAD_ARGUMENTS += [
     ("kinds_on_cuts subset", lambda v: kinds_on_cuts(_M, v, ("left",)), CrispSubset(2, 3)),
     ("classify_fuzzy subset", lambda v: classify_fuzzy(_M, v), (1,) * 2),
     ("set_product subset", lambda v: set_product(_M, v, v), _F),
+    ("level_cut subset", lambda v: level_cut(v, 1), None),
+    ("characteristic subset", characteristic, None),
+    ("characteristic subset", characteristic, _F),
+    ("Lattice.contains subset", _ONE.contains, None),
+    ("intra_witness_valid witness", lambda v: intra_witness_valid(_M, v), None),
 ]
+# a search spec or a value lattice of the wrong type: None, or the number it would hold
+_BAD_ARGUMENTS += [(argument, call, value) for argument, call in (
+    ("enumerate_models spec", enumerate_models),
+    ("count_models spec", count_models),
+    ("verify lattice", lambda v: verify(_M, "sf", v)),
+    ("verify_all lattice", lambda v: verify_all(_M, v)),
+    ("semilattice_report lattice", lambda v: semilattice_report(_TRIVIAL, v)),
+    ("two_sided_family lattice", lambda v: two_sided_family(_M, v, DEFAULT_TUPLE_BUDGET)),
+) for value in (None, 2)]
 # a row that is a string or a set, or of the wrong length (a ragged table)
 _BAD_ARGUMENTS += [("GammaMagma table row", lambda v: GammaMagma(order=2, gamma=("a",), tables=((v, (0, 0)),)),
                     value) for value in ("01", {0, 1}, (0,))]
@@ -574,6 +593,9 @@ _STRUCTURE_ARGUMENTS = [
     ("verify", lambda v: verify(v, "sf", _ONE)),
     ("structure_hypotheses", structure_hypotheses),
     ("semilattice_report", lambda v: semilattice_report(v, _ONE)),
+    ("two_sided_family", lambda v: two_sided_family(v, _ONE, DEFAULT_TUPLE_BUDGET)),
+    ("intra_witness_valid", lambda v: intra_witness_valid(v, intra_regular_witness(_M, 0))),
+    ("dump_structure", lambda v: dump_structure(v, os.devnull)),
 ]
 
 

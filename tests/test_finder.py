@@ -1,12 +1,13 @@
 import itertools
+import pickle
 
 import pytest
 
 import oracles
 from gammag import finder
 from gammag.cli import main
-from gammag.core import LAW_TERMS, CapacityError, GammaMagma, InputError, check_laws
-from gammag.crisp import is_intra_regular
+from gammag.core import LAW_TERMS, CapacityError, GammaMagma, InputError, LawWitness, check_laws
+from gammag.crisp import CrispSubset, IntraWitness, is_intra_regular
 from gammag.finder import (
     DEFAULT_NODE_BUDGET,
     FINDER_PROPERTIES,
@@ -229,6 +230,34 @@ def test_gamma_labels_and_shape():
     for m in got:
         assert m.gamma == ("a", "b", "c")
         assert m.order == 2 and len(m.tables) == 3
+
+
+# ---------------------------------------------------------------------------
+# shared rows and slotted result records
+
+
+def _rows(got):
+    return [row for m in got for table in m.tables for row in table]
+
+
+def test_models_of_one_search_share_equal_rows():
+    spec = SearchSpec(order=4, gamma_count=2, laws=("ag_star_star", "left_invertive"))
+    first, second = list(enumerate_models(spec)), list(enumerate_models(spec))
+    assert len(first) == 1802
+    rows = _rows(first)
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    assert len({id(m.gamma) for m in first}) == 1
+    # the shared rows die with their search: a second run has rows of its own
+    assert not {id(row) for row in rows} & {id(row) for row in _rows(second)}
+
+
+def test_result_records_are_slotted_and_pickle_unchanged():
+    records = (CrispSubset(3, 5), IntraWitness(0, 1, 2, "a", "b", "c"),
+               LawWitness("medial", (0, 1, 2, 0), ("a", "b", "a"), 0, 1))
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
 
 
 # ---------------------------------------------------------------------------
