@@ -102,8 +102,7 @@ class CrispSubset:
         return self.bits != 0
 
     def _check_mate(self, other: "CrispSubset") -> None:
-        if not isinstance(other, CrispSubset):
-            raise InputError("expected a CrispSubset")
+        checked_instance(other, CrispSubset)
         if other.size != self.size:
             raise InputError(f"carrier size mismatch: {self.size} vs {other.size}")
 
@@ -131,8 +130,7 @@ def subset_from_json(order: int, data) -> CrispSubset:
 
 def _check_carrier(m: GammaMagma, a: CrispSubset) -> None:
     checked_structure(m)
-    if not isinstance(a, CrispSubset):
-        raise InputError(f"expected a CrispSubset, got {type(a).__name__}")
+    checked_instance(a, CrispSubset)
     if a.size != m.order:
         raise InputError(f"subset size {a.size} does not match structure order {m.order}")
 

@@ -100,14 +100,9 @@ class FuzzySubset:
         return {"den": den, "num": list(num)}
 
 
-def _check_subset(f) -> None:
-    if not isinstance(f, FuzzySubset):
-        raise InputError(f"expected a FuzzySubset, got {type(f).__name__}")
-
-
 def _check_pair(f: FuzzySubset, g: FuzzySubset) -> None:
-    _check_subset(f)
-    _check_subset(g)
+    checked_instance(f, FuzzySubset)
+    checked_instance(g, FuzzySubset)
     if f.order != g.order:
         raise InputError(f"fuzzy subset order mismatch: {f.order} vs {g.order}")
 
@@ -129,7 +124,7 @@ def leq(f: FuzzySubset, g: FuzzySubset) -> bool:
 
 def _check_carrier(m: GammaMagma, f: FuzzySubset) -> None:
     checked_structure(m)
-    _check_subset(f)
+    checked_instance(f, FuzzySubset)
     if f.order != m.order:
         raise InputError(f"fuzzy subset order {f.order} does not match structure order {m.order}")
 
@@ -156,7 +151,7 @@ def characteristic(a: CrispSubset) -> FuzzySubset:
 
 def level_cut(f: FuzzySubset, t) -> CrispSubset:
     """Elements with membership at least t; t must be positive."""
-    _check_subset(f)
+    checked_instance(f, FuzzySubset)
     threshold = _rational(t, "level cut threshold")
     if threshold <= ZERO:
         raise InputError("level cut threshold must be positive")
@@ -323,7 +318,7 @@ class Lattice:
             yield FuzzySubset(values)
 
     def contains(self, f: FuzzySubset) -> bool:
-        _check_subset(f)
+        checked_instance(f, FuzzySubset)
         return all((v * self.den).denominator == 1 for v in f.values)
 
 
