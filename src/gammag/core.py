@@ -70,6 +70,14 @@ def json_fields(d, what: str, required: tuple, optional: tuple = ()) -> tuple:
     return tuple(d[key] for key in required)
 
 
+def _as_path(path, what: str) -> Path:
+    """path as a Path, when it is a string or path-like; else InputError."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise InputError(f"{what} path must be a string or path-like, got {type(path).__name__}") from None
+
+
 def read_json(path, what: str):
     """The JSON document in the file at path, read as UTF-8 text.
 
@@ -78,7 +86,7 @@ def read_json(path, what: str):
     integer past the interpreter's digit limit raises InputError.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_as_path(path, what).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file {path} as UTF-8 JSON: {exc}") from None
 
@@ -536,4 +544,5 @@ def canonical_json(obj) -> str:
 
 
 def dump_structure(m: GammaMagma, path) -> None:
-    Path(path).write_text(canonical_json(checked_structure(m).to_dict()) + "\n")
+    text = canonical_json(checked_structure(m).to_dict()) + "\n"
+    _as_path(path, "structure").write_text(text)

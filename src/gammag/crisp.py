@@ -7,8 +7,9 @@ pure table scans, so everything here is exact and deterministic.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import reduce
+from itertools import repeat
 from operator import and_
 
 from .core import (
@@ -267,15 +268,47 @@ def intra_regular_witness(m: GammaMagma, a: int) -> IntraWitness | None:
 
 
 def is_intra_regular(m: GammaMagma) -> bool:
+    """Whether every element a has a decomposition (x b (a xi a)) g y.
+
+    Those values over all x, y and labels make up the product (S M) S,
+    where M is the mask of every a xi a; so each a is decided by two mask
+    products and one membership test, without the witness search."""
     checked_structure(m)
-    return all(intra_regular_witness(m, a) is not None for a in range(m.order))
+    rows, full = m.row_unions, (1 << m.order) - 1
+    for a in range(m.order):
+        squares = 0
+        for table in m.tables:
+            squares |= 1 << table[a][a]
+        if not _mask_product(rows, _mask_product(rows, full, squares), full) >> a & 1:
+            return False
+    return True
+
+
+def _swept(m: GammaMagma, shape: str) -> list[int] | array:
+    """The product shape spells (A once in it) for every mask, by mask.
+
+    Such a product distributes over unions of A, so the product for a mask
+    is that of the mask without its top element joined with the top
+    element's product: each element doubles the masks swept so far. Past
+    2**8 masks they are held as machine words, not as a list of ints."""
+    rows, full = m.row_unions, (1 << m.order) - 1
+    out = [0]
+    for x in range(m.order):
+        p = _shape_product(rows, shape, 1 << x, full)
+        if x == 8:
+            out = array("L", out)
+        out += [q | p for q in out] if x < 8 else array("L", map(p.__or__, out))
+    return out
 
 
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     """All non-empty subsets of the given kind, in ascending bit-pattern order.
 
-    The subsets are tested a part of the kind at a time, each part only on
-    the subsets that passed the parts before it.
+    A product in which A occurs once (SA, AS, SAS) is swept over all masks
+    at once (_swept), at one product per element; AA and ASA = (AS) A take
+    one more product per mask. A later part is tested only on the masks
+    that passed the parts before, each taken on its own when they are no
+    more than the elements a sweep would cost.
     """
     if checked_structure(m).order > ENUMERATION_ORDER_CAP:
         raise CapacityError(
@@ -283,8 +316,21 @@ def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
         )
     checked_name(kind, "ideal kind", IDEAL_KINDS)
     rows, full = m.row_unions, (1 << m.order) - 1
-    found = range(1, full + 1)
+    swept = {"A": range(full + 1)}
+    found = swept["A"][1:]
     for part in KIND_PARTS.get(kind, (kind,)):
-        shapes = KIND_SHAPES[part]
-        found = [a for a in found if not reduce(and_, [_shape_product(rows, s, a, full) for s in shapes]) & ~a]
+        inside = None  # lazily, per mask of found: the meet of the part's products
+        for shape in KIND_SHAPES[part]:
+            # a shape with A twice ends in its second A: AA = (A) A, ASA = (AS) A
+            head = shape[:-1] if shape.count("A") > 1 else shape
+            if head not in swept and len(found) > m.order:
+                swept[head] = _swept(m, head)
+            if head not in swept:
+                products = map(_shape_product, repeat(rows), repeat(shape), found, repeat(full))
+            elif head == shape:
+                products = map(swept[head].__getitem__, found)
+            else:
+                products = map(_mask_product, repeat(rows), map(swept[head].__getitem__, found), found)
+            inside = products if inside is None else map(and_, inside, products)
+        found = [a for a, p in zip(found, inside) if not p & ~a]
     return [CrispSubset(m.order, a) for a in found]

@@ -92,8 +92,9 @@ class FuzzySubset:
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """Common denominator and the integer numerators over it."""
-        den = math.lcm(*(v.denominator for v in self.values))
-        return den, tuple(v.numerator * (den // v.denominator) for v in self.values)
+        ratios = [v.as_integer_ratio() for v in self.values]
+        den = math.lcm(*[d for _, d in ratios])
+        return den, tuple([n * (den // d) for n, d in ratios])
 
     def to_dict(self) -> dict:
         den, num = self.scaled
@@ -232,30 +233,66 @@ def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     return _product_violation(m, f, shapes[0])
 
 
+def _level_cuts(f: FuzzySubset):
+    """The masks of f's non-empty level cuts, from the top value down."""
+    by_value = {}
+    for i, v in enumerate(f.scaled[1]):
+        if v:
+            by_value[v] = by_value.get(v, 0) | 1 << i
+    cut = 0
+    for v in sorted(by_value, reverse=True):
+        cut |= by_value[v]
+        yield cut
+
+
+def _cut_kinds(m: GammaMagma, cut: int, kinds) -> set[str]:
+    """The named fuzzy kinds the crisp cut has: for idempotent, A A == A."""
+    products = KindProducts(m, cut)
+    return {k for k in kinds if (products["AA"] == cut if k == "idempotent" else products.has(k))}
+
+
 def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
     """The named fuzzy kinds f has, decided on its level cuts.
 
     f has a kind exactly when every non-empty level cut has the crisp
     kind: the decomposition theorem (Mordeson, Malik & Kuroki, Fuzzy
     Semigroups, 2003, ch. 2), as the cut of a composition is the product
-    of the cuts. For idempotent, the cut test is A A == A. Only the named
-    kinds are computed, sharing the products of each cut.
+    of the cuts. Only the kinds still held are decided on the next cut,
+    from the top value down.
     """
     _check_carrier(m, f)
     kinds = checked_collection(kinds, "kinds", (list, tuple, set, frozenset))
     held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
-    by_value = {}
-    for i, v in enumerate(f.scaled[1]):
-        if v:
-            by_value[v] = by_value.get(v, 0) | 1 << i
-    cut = 0
-    for v in sorted(by_value, reverse=True):  # cuts from the top value down
-        cut |= by_value[v]
-        products = KindProducts(m, cut)
-        held = {k for k in held if (products["AA"] == cut if k == "idempotent" else products.has(k))}
+    for cut in _level_cuts(f):
+        held = _cut_kinds(m, cut, held)
         if not held:
             break
     return held
+
+
+class CutKinds(dict):
+    """Every fuzzy kind of each level cut asked about, keyed by cut mask.
+
+    held = CutKinds(m) lives for one run of questions on m, such as one
+    verify call; held(f, kinds) answers as kinds_on_cuts(m, f, kinds)
+    does, for kind names the caller has checked, and decides all kinds of
+    each cut once, however many subsets share the cut.
+    """
+
+    def __init__(self, m: GammaMagma):
+        self.m = m
+
+    def __missing__(self, cut: int) -> frozenset[str]:
+        kinds = self[cut] = frozenset(_cut_kinds(self.m, cut, FUZZY_KINDS))
+        return kinds
+
+    def __call__(self, f: FuzzySubset, kinds) -> set[str]:
+        held = set(kinds)
+        for cut in _level_cuts(f):
+            held &= self[cut]
+            if not held:
+                break
+        return held
 
 
 def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:

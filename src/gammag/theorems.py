@@ -36,12 +36,12 @@ from .core import (
 )
 from .crisp import CrispSubset, _mask_product, is_intra_regular
 from .fuzzy import (
+    CutKinds,
     FuzzySubset,
     Lattice,
     characteristic,
     gamma_product,
     kind_violation,
-    kinds_on_cuts,
     leq,
     meet,
 )
@@ -175,9 +175,12 @@ def _kind_failure(clause, subsets, derived, kind, w) -> Violation:
     )
 
 
-def _kind_check(clause, m, subsets, name, h, kind) -> Violation | None:
-    w = kind_violation(m, h, kind)
-    return None if w is None else _kind_failure(clause, subsets, ((name, h),), kind, w)
+def _kind_check(clause, m, subsets, name, h, kind, held) -> Violation | None:
+    """None when h has kind, as the memo held answers; else the failure,
+    its witness built by kind_violation."""
+    if kind in held(h, (kind,)):
+        return None
+    return _kind_failure(clause, subsets, ((name, h),), kind, kind_violation(m, h, kind))
 
 
 def _family_failure(clause, subsets, derived=()) -> Violation:
@@ -218,7 +221,8 @@ def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[Fuzzy
         raise CapacityError(
             f"family enumeration needs {_count(total)} lattice subsets; budget is {budget}"
         )
-    return [f for f in lattice.subsets(m.order) if "two_sided" in kinds_on_cuts(m, f, ("two_sided",))]
+    held = CutKinds(m)
+    return [f for f in lattice.subsets(m.order) if held(f, ("two_sided",))]
 
 
 def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -235,10 +239,10 @@ def _closure_violation(m, f, g, fg):
     # fg left the family, so it fails two_sided somewhere (or it is a
     # two sided ideal the family enumeration missed, which the family
     # oracle test would catch)
-    v = _kind_check("closure: f*g is not a two sided ideal", m, (f, g), "f*g", fg, "two_sided")
-    if v is None:
+    w = kind_violation(m, fg, "two_sided")
+    if w is None:
         raise AssertionError("product is two sided but missing from the family")
-    return v
+    return _kind_failure("closure: f*g is not a two sided ideal", (f, g), (("f*g", fg),), "two_sided", w)
 
 
 def _semilattice_scan(m, family) -> tuple[dict[str, bool], Violation | None]:
@@ -474,7 +478,7 @@ def _equation(eq):
 
 def _admits(held, tests, fs) -> bool:
     """Whether each subset passes its position's kind test (None passes all);
-    held(f, kinds) answers as kinds_on_cuts does."""
+    held(f, kinds) answers as fuzzy.kinds_on_cuts does."""
     return all(test is None or test(held, f) for test, f in zip(tests, fs))
 
 
@@ -486,14 +490,14 @@ def _conclusion(item):
         name, value = _render(lhs), _evaluator(lhs)
         clause = f"{name} is {rhs}"
 
-        def test(m, alg, fs):
-            return _kind_check(clause, m, fs, name, value(alg, fs), rhs)
+        def test(m, alg, fs, held):
+            return _kind_check(clause, m, fs, name, value(alg, fs), rhs, held)
 
         return guard, test, None
     lname, lvalue, rname, rvalue = _equation(item[:3])
     clause = f"{lname} == {rname}"
 
-    def test(m, alg, fs):
+    def test(m, alg, fs, held):
         return _eq_check(clause, fs, lname, lvalue(alg, fs), rname, rvalue(alg, fs))
 
     return guard, test, (lvalue, rvalue)
@@ -502,17 +506,18 @@ def _conclusion(item):
 def _holds(conclusions):
     """Checker, premise and each conclusion's equation closures for a "holds" row.
 
-    The checker's guards ask held(f, kinds), kinds_on_cuts on m unless the
-    caller passes a memo."""
+    The checker's guards and kind conclusions ask held(f, kinds), the
+    caller's CutKinds memo or a new one."""
     steps = [_conclusion(item) for item in conclusions]
     guards = [guard for guard, _, _ in steps]
 
     def check(m, *fs, held=None):
         alg = _subset_algebra(m)
-        held = held or partial(kinds_on_cuts, m)
+        if held is None:
+            held = CutKinds(m)
         for guard, test, _ in steps:
             if guard is None or _admits(held, guard, fs):
-                v = test(m, alg, fs)
+                v = test(m, alg, fs, held)
                 if v is not None:
                     return v
         return None
@@ -523,13 +528,14 @@ def _holds(conclusions):
 
 def _coincide(conditions):
     """Checker for a "coincide" row: every condition is decided, then the
-    first that holds is set against the first that fails."""
+    first that holds is set against the first that fails. The kinds are
+    asked of held, the caller's CutKinds memo or a new one."""
     parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(eq) for eq in c[1]]) for c in conditions]
     kinds = [c for c in conditions if isinstance(c, str)]
 
-    def check(m, *fs):
+    def check(m, *fs, held=None):
         f, alg = fs[0], _subset_algebra(m)
-        held = kinds_on_cuts(m, f, kinds)
+        held = (CutKinds(m) if held is None else held)(f, kinds)
         found = []  # per condition: (holds, evaluated sides of its equations)
         for name, equations in parts:
             if equations is None:
@@ -668,7 +674,7 @@ def _verdict(entry, status, lattice, mode, seed, requested, checked, failed=(), 
     )
 
 
-def _exhaustive_pools(m, entry, lattice, budget):
+def _exhaustive_pools(m, entry, lattice, budget, held):
     """Each position's pre-filtered pool of lattice subsets; None where singletons decide the row.
 
     The budget is charged the tuples the pools hold: a pre-filtered
@@ -680,7 +686,6 @@ def _exhaustive_pools(m, entry, lattice, budget):
     needed = count ** entry.arity
     if count <= budget and (needed <= budget or any(entry.pre_filters)):
         pool = list(lattice.subsets(m.order))
-        held = partial(kinds_on_cuts, m)
         # positions with one spec share its compiled test, so each pool is filtered once
         filtered = {flt: [f for f in pool if flt(held, f)] for flt in set(entry.pre_filters) if flt}
         pools = [filtered.get(flt, pool) for flt in entry.pre_filters]
@@ -720,11 +725,10 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
     return checked, None
 
 
-def _sampled_tuples(m, entry, lattice, seed, samples, budget):
+def _sampled_tuples(m, entry, lattice, seed, samples, budget, held):
     """The seeded draws, in counter order, that pass every pre-filter."""
     if samples * entry.arity > budget:
         raise CapacityError(f"sampling needs {_count(samples * entry.arity)} draws; budget is {budget}")
-    held = partial(kinds_on_cuts, m)
     for i in range(samples):
         fs = tuple(
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
@@ -772,21 +776,21 @@ def verify(
         status = "holds" if violation is None else "counterexample"
         return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
 
+    # every kind question of the call (pre-filters, guards, kind
+    # conclusions, coincide conditions) reads one memo keyed by cut mask
+    held = CutKinds(m)
     if mode == "exhaustive":
-        pools = _exhaustive_pools(m, entry, lattice, budget)
+        pools = _exhaustive_pools(m, entry, lattice, budget, held)
         if pools is None:
             checked, violation = _singleton_decision(m, entry)
             status = "holds" if violation is None else "counterexample"
             return _verdict(entry, status, lattice, "singletons", seed, samples, checked, violation=violation)
         tuples = itertools.product(*pools)
     else:
-        tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget)
-    check, premise = entry.check, entry.premise
+        tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget, held)
+    check, premise = partial(entry.check, held=held), entry.premise
     if premise is not None:
-        # a guard asks about the same pool members tuple after tuple, and
-        # the premise and the check ask alike: each is decided once per call
-        held = cache(partial(kinds_on_cuts, m))
-        check, premise = partial(check, held=held), partial(premise, held)
+        premise = partial(premise, held)
     checked = 0
     for fs in tuples:
         if premise is not None and not premise(*fs):

@@ -563,6 +563,12 @@ _BAD_ARGUMENTS += [(argument, call, value) for argument, call in (
     ("semilattice_report lattice", lambda v: semilattice_report(_TRIVIAL, v)),
     ("two_sided_family lattice", lambda v: two_sided_family(_M, v, DEFAULT_TUPLE_BUDGET)),
 ) for value in (None, 2)]
+# a file path that is neither a string nor path-like
+_BAD_ARGUMENTS += [
+    ("load_structure path", load_structure, None),
+    ("load_structure path", load_structure, 5),
+    ("dump_structure path", lambda v: dump_structure(_M, v), None),
+]
 # a row that is a string or a set, or of the wrong length (a ragged table)
 _BAD_ARGUMENTS += [("GammaMagma table row", lambda v: GammaMagma(order=2, gamma=("a",), tables=((v, (0, 0)),)),
                     value) for value in ("01", {0, 1}, (0,))]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from gammag import crisp
 from gammag.core import ROW_UNION_BUDGET, CapacityError, GammaMagma, InputError
 from gammag.crisp import (
     IDEAL_KINDS,
@@ -118,16 +119,47 @@ def test_two_sided_ideals_are_quasi(ir5, ag9, li_models_small):
             assert "quasi" in kinds
 
 
-def test_enumerate_ideals_matches_naive(ir5, ag9):
-    for m in (ir5, ag9):
+def _seeded_structure(rng, n, k):
+    # entries mostly at or below min(x, y), so down-sets are often ideals
+    # and every kind has members to find
+    return GammaMagma(order=n, gamma=tuple("abc"[:k]), tables=tuple(
+        tuple(tuple(rng.randrange(min(x, y) + 1) if rng.random() < 0.8 else rng.randrange(n) for y in range(n))
+              for x in range(n))
+        for _ in range(k)))
+
+
+def _seeded_large_structures():
+    # orders 9-14: the last row-union chunk is 1-6 elements wide, below 8
+    rng = random.Random(1809)
+    return [_seeded_structure(rng, n, 1 + n % 3) for n in range(9, 15)]
+
+
+def test_enumerate_ideals_matches_naive(ir5, ag9, li_models_small):
+    for m in (*li_models_small, ir5, ag9, *_seeded_large_structures()):
+        want = {kind: [] for kind in IDEAL_KINDS}
+        for bits in range(1, 1 << m.order):
+            a = set(CrispSubset(m.order, bits))
+            for kind in IDEAL_KINDS:
+                if oracles.naive_crisp_kind(m, a, kind):
+                    want[kind].append(bits)
         for kind in IDEAL_KINDS:
-            got = [set(a) for a in enumerate_ideals(m, kind)]
-            want = [
-                set(CrispSubset(m.order, bits))
-                for bits in range(1, 1 << m.order)
-                if oracles.naive_crisp_kind(m, set(CrispSubset(m.order, bits)), kind)
-            ]
-            assert got == want, kind
+            assert [a.bits for a in enumerate_ideals(m, kind)] == want[kind], (m.tables, kind)
+
+
+def test_enumerate_ideals_sweeps_one_sided_products(monkeypatch):
+    # left is swept from one product per element, not one per mask
+    m = _seeded_large_structures()[3]
+    assert m.order == 12
+    calls = []
+
+    def counted(rows, a, b):
+        calls.append((a, b))
+        return mask_product(rows, a, b)
+
+    mask_product = crisp._mask_product
+    monkeypatch.setattr(crisp, "_mask_product", counted)
+    enumerate_ideals(m, "left")
+    assert 0 < len(calls) <= 2 * m.order
 
 
 def test_enumerate_ideals_frozen_two_sided(ir5):
@@ -186,6 +218,26 @@ def test_intra_regular_flags(ir5, ag9, m2, intra_ss_models_3):
     assert not is_intra_regular(m2)
     for m in intra_ss_models_3:
         assert is_intra_regular(m)
+
+
+def _all_tables(n, k):
+    for flat in itertools.product(range(n), repeat=k * n * n):
+        yield GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tuple(
+            tuple(flat[t * n * n + x * n:t * n * n + x * n + n] for x in range(n)) for t in range(k)))
+
+
+def test_intra_regular_matches_witness_search():
+    rng = random.Random(4242)
+    seeded = [GammaMagma(order=n, gamma=tuple("ab"[:k]), tables=tuple(
+        tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(k)))
+        for n, k in ((rng.randint(4, 8), rng.randint(1, 2)) for _ in range(200))]
+    tables = [*(m for n in (1, 2, 3) for m in _all_tables(n, 1)), *_all_tables(2, 2), *seeded]
+    flags = []
+    for m in tables:
+        want = all(oracles.naive_intra_witness(m, a) is not None for a in range(m.order))
+        assert is_intra_regular(m) == want, m.tables
+        flags.append(want)
+    assert any(flags) and not all(flags)
 
 
 def test_intra_witness_bad_element(ir5):

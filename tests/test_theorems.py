@@ -7,7 +7,8 @@ import pytest
 import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
 from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, kinds_on_cuts, leq, meet
-from gammag import theorems
+from gammag import fuzzy, theorems
+from gammag.crisp import KindProducts
 from gammag.theorems import (
     DEFAULT_TUPLE_BUDGET,
     HYPOTHESIS_NAMES,
@@ -253,20 +254,29 @@ def test_prefiltered_charge_is_the_pool_product(ir5, m2):
         verify(m2, "rl_cap_quasi", Lattice(1), budget=8)
 
 
-@pytest.mark.parametrize("tid, den", [("prod_onesided", 4), ("idemquasi_prod_bi", 3)])
+@pytest.mark.parametrize("tid, den", [("prod_onesided", 4), ("idemquasi_prod_bi", 3), ("grand_equiv", 3)])
 def test_prefilter_and_guard_kinds_decided_once_per_verify(monkeypatch, ir5, tid, den):
-    # both positions share one filtered pool, and a guard asks the call's
-    # memo, so no (subset, kinds) question reaches kinds_on_cuts twice
-    asked = []
+    # pre-filters, guards, kind conclusions and coincide rows all read the
+    # call's memo, so each distinct cut mask has its kinds decided once
+    decided = []
 
-    def counted(m, f, kinds):
-        asked.append((f, frozenset(kinds)))
-        return kinds_on_cuts(m, f, kinds)
+    def counted(m, cut):
+        decided.append(cut)
+        return KindProducts(m, cut)
 
-    monkeypatch.setattr(theorems, "kinds_on_cuts", counted)
+    monkeypatch.setattr(fuzzy, "KindProducts", counted)
     verdict = verify(ir5, tid, Lattice(den))
     assert verdict.status == "holds" and verdict.checked > 0
-    assert len(asked) == len(set(asked))
+    assert decided and len(decided) == len(set(decided))
+
+
+def test_cut_memo_answers_as_kinds_on_cuts(ir5, m2):
+    for m, den in ((ir5, 2), (m2, 3)):
+        held = fuzzy.CutKinds(m)
+        for f in Lattice(den).subsets(m.order):
+            assert held(f, FUZZY_KINDS) == kinds_on_cuts(m, f, FUZZY_KINDS)
+            assert held(f, ("left", "quasi")) == kinds_on_cuts(m, f, ("left", "quasi"))
+        assert len(held) <= 2 ** m.order - 1
 
 
 # ---------------------------------------------------------------------------
