@@ -304,8 +304,9 @@ def _swept(m: GammaMagma, shape: str) -> list[int] | array:
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     """All non-empty subsets of the given kind, in ascending bit-pattern order.
 
-    A product in which A occurs once (SA, AS, SAS) is swept over all masks
-    at once (_swept), at one product per element; AA and ASA = (AS) A take
+    A product in which A occurs once (SA, AS, SAS) distributes over unions
+    of A, so it is swept over all masks at once from one product per
+    element (_swept); AA and ASA = (AS) A take
     one more product per mask. A later part is tested only on the masks
     that passed the parts before, each taken on its own when they are no
     more than the elements a sweep would cost.
