@@ -172,26 +172,30 @@ def set_product(m: GammaMagma, a: CrispSubset, b: CrispSubset) -> CrispSubset:
 
 class KindProducts(dict):
     """The products of a subset mask A and the carrier S spelled as in
-    KIND_SHAPES ("SAS" and so on), each computed on first use and shared
-    by every kind asked of A."""
+    KIND_SHAPES ("SAS" and so on), and the kinds of A by name, each
+    computed on first use and shared by every later question about A.
+
+    A kind of KIND_SHAPES holds when the meet of its products stays
+    inside A, a kind of KIND_PARTS when each of its parts holds, and
+    "idempotent" when A A == A."""
 
     def __init__(self, m: GammaMagma, a: int):
         self["A"], self["S"], self.rows = a, (1 << m.order) - 1, m.row_unions
 
-    def __missing__(self, shape: str) -> int:
-        p = self[shape] = _mask_product(self.rows, self[shape[:-1]], self[shape[-1]])
-        return p
-
-    def has(self, kind: str) -> bool:
-        """Whether the meet of each part's products stays inside A."""
-        outside = ~self["A"]
-        for part in KIND_PARTS.get(kind, (kind,)):
+    def __missing__(self, key: str) -> int | bool:
+        if key.isupper():  # a product, spelled in A and S
+            value = _mask_product(self.rows, self[key[:-1]], self[key[-1]])
+        elif key == "idempotent":
+            value = self["AA"] == self["A"]
+        elif key in KIND_PARTS:
+            value = all(self[part] for part in KIND_PARTS[key])
+        else:
             inside = -1
-            for shape in KIND_SHAPES[part]:
+            for shape in KIND_SHAPES[key]:
                 inside &= self[shape]
-            if inside & outside:
-                return False
-        return True
+            value = not inside & ~self["A"]
+        self[key] = value
+        return value
 
 
 def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
@@ -200,7 +204,7 @@ def classify_subset(m: GammaMagma, a: CrispSubset) -> set[str]:
     if not a:
         raise InputError("classification needs a non-empty subset")
     products = KindProducts(m, a.bits)
-    kinds = {kind for kind in IDEAL_KINDS if products.has(kind)}
+    kinds = {kind for kind in IDEAL_KINDS if products[kind]}
     # Both one-sided products land inside a two-sided ideal, so its
     # intersection does too; a miss here means a product scan is wrong.
     if "two_sided" in kinds and "quasi" not in kinds:

@@ -245,54 +245,40 @@ def _level_cuts(f: FuzzySubset):
         yield cut
 
 
-def _cut_kinds(m: GammaMagma, cut: int, kinds) -> set[str]:
-    """The named fuzzy kinds the crisp cut has: for idempotent, A A == A."""
-    products = KindProducts(m, cut)
-    return {k for k in kinds if (products["AA"] == cut if k == "idempotent" else products.has(k))}
-
-
-def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
-    """The named fuzzy kinds f has, decided on its level cuts.
+class CutKinds(dict):
+    """The fuzzy kinds of subsets of m, decided on their level cuts.
 
     f has a kind exactly when every non-empty level cut has the crisp
-    kind: the decomposition theorem (Mordeson, Malik & Kuroki, Fuzzy
-    Semigroups, 2003, ch. 2), as the cut of a composition is the product
-    of the cuts. Only the kinds still held are decided on the next cut,
-    from the top value down.
-    """
-    _check_carrier(m, f)
-    kinds = checked_collection(kinds, "kinds", (list, tuple, set, frozenset))
-    held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
-    for cut in _level_cuts(f):
-        held = _cut_kinds(m, cut, held)
-        if not held:
-            break
-    return held
-
-
-class CutKinds(dict):
-    """Every fuzzy kind of each level cut asked about, keyed by cut mask.
-
-    held = CutKinds(m) lives for one run of questions on m, such as one
-    verify call; held(f, kinds) answers as kinds_on_cuts(m, f, kinds)
-    does, for kind names the caller has checked, and decides all kinds of
-    each cut once, however many subsets share the cut.
+    kind (for idempotent, A A == A): the decomposition theorem (Mordeson,
+    Malik & Kuroki, Fuzzy Semigroups, 2003, ch. 2), as the cut of a
+    composition is the product of the cuts. held = CutKinds(m) keeps one
+    KindProducts per cut mask asked about, so each product and each kind
+    of a cut is decided once while held lives (one run of questions, such
+    as one verify call). held(f, kinds) decides only the kinds still held
+    on the next cut, from the top value down.
     """
 
     def __init__(self, m: GammaMagma):
-        self.m = m
+        self.m = checked_structure(m)
 
-    def __missing__(self, cut: int) -> frozenset[str]:
-        kinds = self[cut] = frozenset(_cut_kinds(self.m, cut, FUZZY_KINDS))
-        return kinds
+    def __missing__(self, cut: int) -> KindProducts:
+        products = self[cut] = KindProducts(self.m, cut)
+        return products
 
     def __call__(self, f: FuzzySubset, kinds) -> set[str]:
-        held = set(kinds)
+        _check_carrier(self.m, f)
+        kinds = checked_collection(kinds, "kinds", (list, tuple, set, frozenset))
+        held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
         for cut in _level_cuts(f):
-            held &= self[cut]
+            held = set(filter(self[cut].__getitem__, held))
             if not held:
                 break
         return held
+
+
+def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
+    """The named fuzzy kinds f has, decided on its level cuts (CutKinds)."""
+    return CutKinds(m)(f, kinds)
 
 
 def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:

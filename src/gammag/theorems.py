@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -245,10 +245,51 @@ def _closure_violation(m, f, g, fg):
     return _kind_failure("closure: f*g is not a two sided ideal", (f, g), (("f*g", fg),), "two_sided", w)
 
 
+class _FamilyTables:
+    """One family audit's tables, each built once, on first use: the member
+    pair products and meets as values, and the order relation.
+
+    A value is a member's index, or the subset itself where it is no
+    member, so two values are equal exactly when their subsets are."""
+
+    def __init__(self, m, family):
+        self.m, self.family, self.members = m, family, range(len(family))
+        self.index = {f: i for i, f in enumerate(family)}
+
+    def value(self, f):
+        return self.index.get(f, f)
+
+    def subset(self, x) -> FuzzySubset:
+        return self.family[x] if type(x) is int else x
+
+    @cached_property
+    def products(self) -> list[list]:
+        return [[self.value(gamma_product(self.m, g, h)) for h in self.family] for g in self.family]
+
+    @cached_property
+    def meets(self) -> list[list]:
+        return [[self.value(meet(g, h)) for h in self.family] for g in self.family]
+
+    @cached_property
+    def below(self) -> list[set[int]]:
+        """Per member f, the members g <= f."""
+        return [{g for g in self.members if leq(self.family[g], f)} for f in self.family]
+
+    def compose(self, x, y):
+        """The value of x*y; gamma_product runs only where x or y is no member."""
+        if type(x) is int and type(y) is int:
+            return self.products[x][y]
+        return self.value(gamma_product(self.m, self.subset(x), self.subset(y)))
+
+    def leq(self, x, f: int) -> bool:
+        return x in self.below[f] if type(x) is int else leq(x, self.family[f])
+
+
 def _semilattice_scan(m, family) -> tuple[dict[str, bool], Violation | None]:
     """Which semilattice properties the family has, and the first violation."""
     one = _ones(m.order)
-    index = set(family)
+    tables = _FamilyTables(m, family)
+    products, subset = tables.products, tables.subset
     flags = dict.fromkeys(("closed", "commutative", "associative", "all_idempotent", "identity_holds"), True)
     violation = None
 
@@ -258,20 +299,20 @@ def _semilattice_scan(m, family) -> tuple[dict[str, bool], Violation | None]:
             flags[flag] = False
             violation = violation or v
 
-    for f in family:
-        for g in family:
-            fg = gamma_product(m, f, g)
-            if fg not in index:
-                note("closed", _closure_violation(m, f, g, fg))
-            note("commutative", _eq_check("f*g == g*f", (f, g), "f*g", fg, "g*f", gamma_product(m, g, f)))
-    for f in family:
-        note("all_idempotent", _eq_check("f*f == f", (f,), "f*f", gamma_product(m, f, f), "f", f))
+    for f, g in itertools.product(tables.members, repeat=2):
+        fg, gf = products[f][g], products[g][f]
+        if type(fg) is not int:
+            note("closed", _closure_violation(m, family[f], family[g], fg))
+        if fg != gf:
+            note("commutative", _eq_check("f*g == g*f", (family[f], family[g]), "f*g", subset(fg), "g*f", subset(gf)))
+    for i, f in enumerate(family):
+        note("all_idempotent", _eq_check("f*f == f", (f,), "f*f", subset(products[i][i]), "f", f))
         note("identity_holds", _eq_check("f*ones == f", (f,), "f*ones", gamma_product(m, f, one), "f", f))
-    for f, g, h in itertools.product(family, repeat=3):
-        lhs = gamma_product(m, gamma_product(m, f, g), h)
-        rhs = gamma_product(m, f, gamma_product(m, g, h))
-        note("associative", _eq_check("(f*g)*h == f*(g*h)", (f, g, h), "(f*g)*h", lhs, "f*(g*h)", rhs))
-        if not flags["associative"]:
+    for f, g, h in itertools.product(tables.members, repeat=3):
+        lhs, rhs = tables.compose(products[f][g], h), tables.compose(f, products[g][h])
+        if lhs != rhs:
+            note("associative", _eq_check("(f*g)*h == f*(g*h)", (family[f], family[g], family[h]),
+                                          "(f*g)*h", subset(lhs), "f*(g*h)", subset(rhs)))
             break
     return flags, violation
 
@@ -280,21 +321,23 @@ def _family_semilattice(m, family):
     return _semilattice_scan(m, family)[1]
 
 
-def _split_below(f, family, combine):
-    """First (g, h) with combine(g, h) <= f but neither g <= f nor h <= f.
+def _split_below(tables, f, combined):
+    """First members (g, h) with combined[g][h] <= member f but neither g <= f nor h <= f.
 
-    With composition, None means f is prime in the family; with meet, it
-    means f is strongly irreducible."""
-    for g, h in itertools.product(family, repeat=2):
-        if leq(combine(g, h), f) and not leq(g, f) and not leq(h, f):
-            return (g, h)
+    With the pair products, None means f is prime in the family; with the
+    meets, it means f is strongly irreducible."""
+    outside = [g for g in tables.members if g not in tables.below[f]]
+    for g, h in itertools.product(outside, repeat=2):
+        if tables.leq(combined[g][h], f):
+            return tables.family[g], tables.family[h]
     return None
 
 
 def _family_irr_iff_prime(m, family):
-    for f in family:
-        irr = _split_below(f, family, meet)
-        prime = _split_below(f, family, partial(gamma_product, m))
+    tables = _FamilyTables(m, family)
+    for i, f in enumerate(family):
+        irr = _split_below(tables, i, tables.meets)
+        prime = _split_below(tables, i, tables.products)
         if (irr is None) == (prime is None):
             continue
         if irr is None:
@@ -308,9 +351,10 @@ def _family_irr_iff_prime(m, family):
 
 
 def _family_all_prime_iff_chain(m, family):
+    tables = _FamilyTables(m, family)
     not_prime = None
-    for f in family:
-        witness = _split_below(f, family, partial(gamma_product, m))
+    for i, f in enumerate(family):
+        witness = _split_below(tables, i, tables.products)
         if witness is not None:
             not_prime = (f,) + witness
             break

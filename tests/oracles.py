@@ -323,6 +323,96 @@ def naive_fuzzy_kind(m, fv, kind):
 
 
 # ---------------------------------------------------------------------------
+# family statements, scanned pair by pair and triple by triple
+
+
+def _naive_leq(fv, gv):
+    return all(a <= b for a, b in zip(fv, gv))
+
+
+def _naive_split_below(f, family, combine):
+    for g in family:
+        for h in family:
+            if _naive_leq(combine(g, h), f) and not _naive_leq(g, f) and not _naive_leq(h, f):
+                return g, h
+    return None
+
+
+def naive_semilattice(m, family):
+    """The semilattice flags the family fails and its first failure, as
+    (clause, subsets, derived (name, vector) pairs), or None; family holds
+    value tuples. Closure and commutativity are scanned pair by pair, then
+    idempotence and the identity per member, then associativity triple by
+    triple up to its first failure."""
+    ones = (Fraction(1),) * m.order
+    failures = []  # (flag, payload) in scan order
+    for f in family:
+        for g in family:
+            fg, gf = naive_gamma_product(m, f, g), naive_gamma_product(m, g, f)
+            if fg not in family:
+                failures.append(("closed", ("closure: f*g is not a two sided ideal", (f, g), (("f*g", fg),))))
+            if fg != gf:
+                failures.append(("commutative", ("f*g == g*f", (f, g), (("f*g", fg), ("g*f", gf)))))
+    for f in family:
+        ff, f1 = naive_gamma_product(m, f, f), naive_gamma_product(m, f, ones)
+        if ff != f:
+            failures.append(("all_idempotent", ("f*f == f", (f,), (("f*f", ff), ("f", f)))))
+        if f1 != f:
+            failures.append(("identity_holds", ("f*ones == f", (f,), (("f*ones", f1), ("f", f)))))
+    for f, g, h in itertools.product(family, repeat=3):
+        lhs = naive_gamma_product(m, naive_gamma_product(m, f, g), h)
+        rhs = naive_gamma_product(m, f, naive_gamma_product(m, g, h))
+        if lhs != rhs:
+            failures.append(("associative", ("(f*g)*h == f*(g*h)", (f, g, h), (("(f*g)*h", lhs), ("f*(g*h)", rhs)))))
+            break
+    return {flag for flag, _ in failures}, failures[0][1] if failures else None
+
+
+def _naive_leq(fv, gv):
+    return all(a <= b for a, b in zip(fv, gv))
+
+
+def _naive_split_below(f, family, combine):
+    """First (g, h) with combine(g, h) <= f but neither g <= f nor h <= f."""
+    for g, h in itertools.product(family, repeat=2):
+        if _naive_leq(combine(g, h), f) and not _naive_leq(g, f) and not _naive_leq(h, f):
+            return g, h
+    return None
+
+
+def naive_prime_failure(m, family, statement):
+    """The first failure of irr_iff_prime or all_prime_iff_chain, as
+    (clause, subsets, derived (name, vector) pairs), or None; family holds
+    value tuples."""
+    def prod(fv, gv):
+        return naive_gamma_product(m, fv, gv)
+
+    def meet(fv, gv):
+        return tuple(map(min, fv, gv))
+
+    if statement == "irr_iff_prime":
+        for f in family:
+            irr = _naive_split_below(f, family, meet)
+            prime = _naive_split_below(f, family, prod)
+            if irr is None and prime is not None:
+                g, h = prime
+                return "strongly irreducible but not prime", (f, g, h), (("g*h", prod(g, h)),)
+            if prime is None and irr is not None:
+                g, h = irr
+                return "prime but not strongly irreducible", (f, g, h), (("g^h", meet(g, h)),)
+        return None
+    not_prime = next(((f,) + w for f in family if (w := _naive_split_below(f, family, prod))), None)
+    incomparable = next(((f, g) for f, g in itertools.product(family, repeat=2)
+                         if not _naive_leq(f, g) and not _naive_leq(g, f)), None)
+    if (not_prime is None) == (incomparable is None):
+        return None
+    if not_prime is None:
+        return "every ideal prime but family is not a chain", incomparable, ()
+    f, g, h = not_prime
+    return "family is a chain but some ideal is not prime", (f, g, h), (("g*h", prod(g, h)),)
+
+
+# ---------------------------------------------------------------------------
 # replaying theorem violations
 
 _TOKEN = re.compile(r"ones|[fghk]|\(|\)|\*|\^")

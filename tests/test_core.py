@@ -43,6 +43,7 @@ from gammag.crisp import (
 )
 from gammag.finder import SearchSpec, count_models, enumerate_models, find_counterexample_structure
 from gammag.fuzzy import (
+    CutKinds,
     FuzzySubset,
     Lattice,
     characteristic,
@@ -500,6 +501,7 @@ _NAME_ARGUMENTS = [
     ("from_base_with_terms pattern", lambda v: from_base_with_terms(((0, 1), (1, 0)), (v,))),
     ("enumerate_ideals", lambda v: enumerate_ideals(_M, v)),
     ("kinds_on_cuts", lambda v: kinds_on_cuts(_M, _F, ("left", v))),
+    ("CutKinds", lambda v: CutKinds(_M)(_F, ("left", v))),
     ("SearchSpec laws", lambda v: SearchSpec(order=2, laws=v)),
     ("SearchSpec law", lambda v: SearchSpec(order=2, laws=("medial", v))),
     ("SearchSpec iso_mode", lambda v: SearchSpec(order=2, iso_mode=v)),
@@ -519,6 +521,7 @@ _COLLECTION_ARGUMENTS = [
     ("GammaMagma labels", lambda v: GammaMagma(order=2, gamma=("a",), tables=(_T,), labels=v), ("pq", 5)),
     ("FuzzySubset values", FuzzySubset, (None, "01", 5, {1})),
     ("kinds_on_cuts kinds", lambda v: kinds_on_cuts(_M, _F, v), (None, 5, {"left": 0})),
+    ("CutKinds kinds", lambda v: CutKinds(_M)(_F, v), (None, 5, {"left": 0})),
     ("from_base_with_terms base", lambda v: from_base_with_terms(v, ("xy",)), (None, 5)),
     ("from_base_with_terms patterns", lambda v: from_base_with_terms(_T, v), (None, 5, {"xy"})),
     ("from_base_with_terms gamma", lambda v: from_base_with_terms(_T, ("xy", "xy"), v), ("ab", 5)),
@@ -546,6 +549,8 @@ _BAD_ARGUMENTS += [
     ("gamma_product subset", lambda v: gamma_product(_M, v, _F), [1] * 2),
     ("meet subset", lambda v: meet(_F, v), None),
     ("kinds_on_cuts subset", lambda v: kinds_on_cuts(_M, v, ("left",)), CrispSubset(2, 3)),
+    ("CutKinds subset", lambda v: CutKinds(_M)(v, ("left",)), CrispSubset(2, 3)),
+    ("CutKinds subset", lambda v: CutKinds(_M)(v, ("left",)), FuzzySubset((1,) * 7)),
     ("classify_fuzzy subset", lambda v: classify_fuzzy(_M, v), (1,) * 2),
     ("set_product subset", lambda v: set_product(_M, v, v), _F),
     ("level_cut subset", lambda v: level_cut(v, 1), None),
@@ -596,6 +601,7 @@ _STRUCTURE_ARGUMENTS = [
     ("gamma_product", lambda v: gamma_product(v, _F, _F)),
     ("classify_fuzzy", lambda v: classify_fuzzy(v, _F)),
     ("kinds_on_cuts", lambda v: kinds_on_cuts(v, _F, ("left",))),
+    ("CutKinds", lambda v: CutKinds(v)(_F, ("left",))),
     ("verify", lambda v: verify(v, "sf", _ONE)),
     ("structure_hypotheses", structure_hypotheses),
     ("semilattice_report", lambda v: semilattice_report(v, _ONE)),

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from gammag.crisp import IDEAL_KINDS, CrispSubset, classify_subset, enumerate_ideals
+from gammag.crisp import IDEAL_KINDS, CrispSubset, KindProducts, classify_subset, enumerate_ideals
 from gammag.finder import SearchSpec, enumerate_models
 from gammag.fuzzy import (
     FUZZY_KINDS,
+    CutKinds,
     FuzzySubset,
     Lattice,
     characteristic,
@@ -40,9 +41,12 @@ def test_crisp_kinds_match_naive_on_every_mask(structures):
 
 def test_fuzzy_kinds_match_naive_on_every_lattice_subset(structures):
     for m, lattice in structures:
+        # one engine per structure, so later subsets read the cuts earlier ones decided
+        held = CutKinds(m)
         for f in lattice.subsets(m.order):
             want = {kind for kind in FUZZY_KINDS if oracles.naive_fuzzy_kind(m, f.values, kind)}
             assert classify_fuzzy(m, f) == want, (m.tables, f.values)
+            assert held(f, FUZZY_KINDS) == want, (m.tables, f.values)
             for kind in FUZZY_KINDS:
                 assert has_fuzzy_kind(m, f, kind) == (kind in want), (m.tables, f.values, kind)
                 assert (kind_violation(m, f, kind) is None) == (kind in want), (m.tables, f.values, kind)
@@ -70,3 +74,39 @@ def test_crisp_kind_paths_match_naive_on_every_subset(li_models_small, ag9):
             kinds = set(IDEAL_KINDS).intersection(*(want[cut] for cut in cuts))
             f = FuzzySubset(tuple(Fraction(v, 3) for v in values))
             assert kinds_on_cuts(m, f, IDEAL_KINDS) == kinds, (m.tables, values)
+
+
+# the products each kind reads besides A and S
+_KIND_PRODUCTS = {
+    "subgroupoid": {"AA"},
+    "left": {"SA"},
+    "right": {"AS"},
+    "two_sided": {"SA", "AS"},
+    "bi": {"AA", "AS", "ASA"},
+    "generalized_bi": {"AS", "ASA"},
+    "interior": {"SA", "SAS"},
+    "quasi": {"SA", "AS"},
+    "idempotent": {"AA"},
+}
+
+
+def test_one_kind_question_builds_only_the_products_it_reads(monkeypatch, ir5):
+    built = []
+    missing = KindProducts.__missing__
+
+    def counted(products, key):
+        built.append((products["A"], key))
+        return missing(products, key)
+
+    monkeypatch.setattr(KindProducts, "__missing__", counted)
+    assert set(_KIND_PRODUCTS) == set(FUZZY_KINDS)
+    for kind, reads in _KIND_PRODUCTS.items():
+        seen = set()
+        for f in Lattice(2).subsets(ir5.order):
+            built.clear()
+            CutKinds(ir5)(f, (kind,))
+            # each product of a cut is built once, and only those kind reads
+            shapes = {shape for _, shape in built if shape.isupper()}
+            assert len(built) == len(set(built)) and shapes <= reads, (kind, f.values)
+            seen.update(shapes)
+        assert seen == reads, kind

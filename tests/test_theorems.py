@@ -674,6 +674,49 @@ def test_family_statements_cross_checked_naively(ir5):
     assert all(prime(f) for f in family) == chain
 
 
+def test_family_statements_match_the_pairwise_scan(ir5, li_models_small):
+    # the three family checks against oracles that compose every pair and
+    # triple afresh, first failure, payload and semilattice flags included.
+    # The one-label tables on {0, 1} fail idempotence, the identity and
+    # primeness; the order-3 models fail closure, commutativity and
+    # associativity too, which takes products of non-members
+    two_element = [GammaMagma(order=2, gamma=("a",), tables=((flat[0:2], flat[2:4]),))
+                   for flat in itertools.product(range(2), repeat=4)]
+    cases = [(m, den) for m in two_element for den in (1, 2, 3)]
+    cases += [(m, 1) for m in li_models_small if m.order == 3] + [(ir5, 2)]
+
+    def payload(v):
+        return None if v is None else (
+            v.clause, tuple(f.values for f in v.subsets), tuple((n, f.values) for n, f in v.derived))
+
+    for m, den in cases:
+        family = two_sided_family(m, Lattice(den), DEFAULT_TUPLE_BUDGET)
+        values = [f.values for f in family]
+        flags, v = theorems._semilattice_scan(m, family)
+        assert ({flag for flag, ok in flags.items() if not ok}, payload(v)) == oracles.naive_semilattice(m, values)
+        for tid in ("irr_iff_prime", "all_prime_iff_chain"):
+            got = payload(REGISTRY[tid].check(m, family))
+            assert got == oracles.naive_prime_failure(m, values, tid), (m.tables, den, tid)
+
+
+@pytest.mark.parametrize("tid, products", [("semi1", 35 * 35 + 35), ("irr_iff_prime", 35 * 35),
+                                           ("all_prime_iff_chain", 35 * 35)])
+def test_family_audit_composes_each_member_pair_once(monkeypatch, ir5, tid, products):
+    # the 35 two-sided ideals of ir5 at den 4: one product per member pair,
+    # and for semi1 one f*ones per member; every other check reads indices
+    calls = []
+    gamma_product = theorems.gamma_product
+
+    def counted(m, f, g):
+        calls.append((f, g))
+        return gamma_product(m, f, g)
+
+    monkeypatch.setattr(theorems, "gamma_product", counted)
+    verdict = verify(ir5, tid, Lattice(4))
+    assert verdict.status == "holds" and verdict.checked == 35
+    assert len(calls) <= products
+
+
 def test_two_sided_family_capacity(ir5):
     with pytest.raises(CapacityError):
         two_sided_family(ir5, Lattice(1), budget=10)
