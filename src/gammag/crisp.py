@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import and_
 
@@ -33,25 +34,22 @@ IDEAL_KINDS = (
     "quasi",
 )
 
-# The kind table. A base kind asks that the intersection of its products
-# stays inside the subset A. A product is spelled by its factors, left to
-# right and bracketed to the left, with A for the subset and S for the
-# whole carrier: "SAS" is (S A) S. The fuzzy reading puts f for A and the
-# all-ones subset for S, so a one-product kind becomes the pointwise bound
+# The kind table. Each kind is a tuple of parts, checked in order, and a
+# part is a tuple of products whose intersection must stay inside the
+# subset A. A product is spelled by its factors, left to right and
+# bracketed to the left, with A for the subset and S for the whole
+# carrier: "SAS" is (S A) S. The fuzzy reading puts f for A and the
+# all-ones subset for S, so a one-product part becomes the pointwise bound
 # f(product) >= min of f over the A factors.
 KIND_SHAPES = {
-    "subgroupoid": ("AA",),
-    "left": ("SA",),
-    "right": ("AS",),
-    "generalized_bi": ("ASA",),
-    "interior": ("SAS",),
-    "quasi": ("SA", "AS"),
-}
-
-# Kinds that are conjunctions of base kinds, parts checked in this order.
-KIND_PARTS = {
-    "two_sided": ("left", "right"),
-    "bi": ("subgroupoid", "generalized_bi"),
+    "subgroupoid": (("AA",),),
+    "left": (("SA",),),
+    "right": (("AS",),),
+    "two_sided": (("SA",), ("AS",)),
+    "bi": (("AA",), ("ASA",)),
+    "generalized_bi": (("ASA",),),
+    "interior": (("SAS",),),
+    "quasi": (("SA", "AS"),),
 }
 
 ENUMERATION_ORDER_CAP = 20
@@ -155,11 +153,12 @@ def _mask_product(rows, a: int, b: int) -> int:
     return out
 
 
-def _shape_product(rows, shape: str, a: int, full: int) -> int:
-    """The product KIND_SHAPES spells by shape, with mask a for A and full for S."""
-    out = a if shape[0] == "A" else full
+def shape_product(product, shape: str, a, s):
+    """The product KIND_SHAPES spells by shape, with a for A and s for S,
+    folded to the left by the product step product(x, y)."""
+    out = a if shape[0] == "A" else s
     for factor in shape[1:]:
-        out = _mask_product(rows, out, a if factor == "A" else full)
+        out = product(out, a if factor == "A" else s)
     return out
 
 
@@ -175,9 +174,9 @@ class KindProducts(dict):
     KIND_SHAPES ("SAS" and so on), and the kinds of A by name, each
     computed on first use and shared by every later question about A.
 
-    A kind of KIND_SHAPES holds when the meet of its products stays
-    inside A, a kind of KIND_PARTS when each of its parts holds, and
-    "idempotent" when A A == A."""
+    A kind holds when each of its parts holds, in table order, and a part
+    holds when the meet of its products stays inside A; "idempotent"
+    holds when A A == A."""
 
     def __init__(self, m: GammaMagma, a: int):
         self["A"], self["S"], self.rows = a, (1 << m.order) - 1, m.row_unions
@@ -187,13 +186,15 @@ class KindProducts(dict):
             value = _mask_product(self.rows, self[key[:-1]], self[key[-1]])
         elif key == "idempotent":
             value = self["AA"] == self["A"]
-        elif key in KIND_PARTS:
-            value = all(self[part] for part in KIND_PARTS[key])
         else:
-            inside = -1
-            for shape in KIND_SHAPES[key]:
-                inside &= self[shape]
-            value = not inside & ~self["A"]
+            value = True
+            for part in KIND_SHAPES[key]:
+                inside = -1
+                for shape in part:
+                    inside &= self[shape]
+                if inside & ~self["A"]:
+                    value = False
+                    break
         self[key] = value
         return value
 
@@ -295,10 +296,10 @@ def _swept(m: GammaMagma, shape: str) -> list[int] | array:
     is that of the mask without its top element joined with the top
     element's product: each element doubles the masks swept so far. Past
     2**8 masks they are held as machine words, not as a list of ints."""
-    rows, full = m.row_unions, (1 << m.order) - 1
+    step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
     out = [0]
     for x in range(m.order):
-        p = _shape_product(rows, shape, 1 << x, full)
+        p = shape_product(step, shape, 1 << x, full)
         if x == 8:
             out = array("L", out)
         out += [q | p for q in out] if x < 8 else array("L", map(p.__or__, out))
@@ -320,22 +321,22 @@ def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
     checked_name(kind, "ideal kind", IDEAL_KINDS)
-    rows, full = m.row_unions, (1 << m.order) - 1
+    step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
     swept = {"A": range(full + 1)}
     found = swept["A"][1:]
-    for part in KIND_PARTS.get(kind, (kind,)):
+    for part in KIND_SHAPES[kind]:
         inside = None  # lazily, per mask of found: the meet of the part's products
-        for shape in KIND_SHAPES[part]:
+        for shape in part:
             # a shape with A twice ends in its second A: AA = (A) A, ASA = (AS) A
             head = shape[:-1] if shape.count("A") > 1 else shape
             if head not in swept and len(found) > m.order:
                 swept[head] = _swept(m, head)
             if head not in swept:
-                products = map(_shape_product, repeat(rows), repeat(shape), found, repeat(full))
+                products = map(shape_product, repeat(step), repeat(shape), found, repeat(full))
             elif head == shape:
                 products = map(swept[head].__getitem__, found)
             else:
-                products = map(_mask_product, repeat(rows), map(swept[head].__getitem__, found), found)
+                products = map(step, map(swept[head].__getitem__, found), found)
             inside = products if inside is None else map(and_, inside, products)
         found = [a for a, p in zip(found, inside) if not p & ~a]
     return [CrispSubset(m.order, a) for a in found]

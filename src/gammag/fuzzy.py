@@ -26,7 +26,7 @@ from .core import (
     checked_structure,
     json_fields,
 )
-from .crisp import IDEAL_KINDS, KIND_PARTS, KIND_SHAPES, CrispSubset, KindProducts
+from .crisp import IDEAL_KINDS, KIND_SHAPES, CrispSubset, KindProducts, shape_product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -191,46 +191,28 @@ def _product_violation(m: GammaMagma, f: FuzzySubset, shape: str) -> KindWitness
     return None
 
 
-def _composite(m: GammaMagma, shape: str, factors: dict) -> FuzzySubset:
-    out = factors[shape[0]]
-    for c in shape[1:]:
-        out = gamma_product(m, out, factors[c])
-    return out
-
-
-def _composite_violation(m: GammaMagma, f: FuzzySubset, shapes) -> KindWitness | None:
-    """First a with f(a) below the meet of the shapes' compositions at a."""
-    factors = {"A": f, "S": FuzzySubset.ones(m.order)}
-    bound = reduce(meet, (_composite(m, shape, factors) for shape in shapes))
-    for a in range(m.order):
-        if f.values[a] < bound.values[a]:
-            return KindWitness((a,), (), "geq", f.values[a], bound.values[a])
-    return None
-
-
-def _idempotent_violation(m: GammaMagma, f: FuzzySubset) -> KindWitness | None:
-    square = gamma_product(m, f, f)
-    for a in range(m.order):
-        if square.values[a] != f.values[a]:
-            return KindWitness((a,), (), "eq", square.values[a], f.values[a])
+def _first_failure(relation: str, lhs: FuzzySubset, rhs: FuzzySubset) -> KindWitness | None:
+    """First a where lhs(a) >= rhs(a) ("geq") or lhs(a) == rhs(a) ("eq") fails."""
+    for a, (x, y) in enumerate(zip(lhs.values, rhs.values)):
+        if (x < y) if relation == "geq" else (x != y):
+            return KindWitness((a,), (), relation, x, y)
     return None
 
 
 def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     """First failure of kind as the kind table defines it; parts in table order."""
     if kind == "idempotent":
-        return _idempotent_violation(m, f)
-    parts = KIND_PARTS.get(kind)
-    if parts is not None:
-        for part in parts:
-            w = _violation(m, f, part)
-            if w is not None:
-                return w
-        return None
-    shapes = KIND_SHAPES[kind]
-    if len(shapes) > 1:
-        return _composite_violation(m, f, shapes)
-    return _product_violation(m, f, shapes[0])
+        return _first_failure("eq", gamma_product(m, f, f), f)
+    for part in KIND_SHAPES[kind]:
+        if len(part) == 1:
+            w = _product_violation(m, f, part[0])
+        else:  # f against the meet of the part's compositions
+            step, ones = partial(gamma_product, m), FuzzySubset.ones(m.order)
+            bound = reduce(meet, (shape_product(step, shape, f, ones) for shape in part))
+            w = _first_failure("geq", f, bound)
+        if w is not None:
+            return w
+    return None
 
 
 def _level_cuts(f: FuzzySubset):
@@ -276,18 +258,13 @@ class CutKinds(dict):
         return held
 
 
-def kinds_on_cuts(m: GammaMagma, f: FuzzySubset, kinds) -> set[str]:
-    """The named fuzzy kinds f has, decided on its level cuts (CutKinds)."""
-    return CutKinds(m)(f, kinds)
-
-
 def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     """First pointwise failure of the kind constraint, or None if it holds.
 
     The level cuts decide; the pointwise scan runs only on a failure, to
     build the witness.
     """
-    if kind in kinds_on_cuts(m, f, (kind,)):
+    if kind in CutKinds(m)(f, (kind,)):
         return None
     w = _violation(m, f, kind)
     if w is None:
@@ -296,10 +273,11 @@ def kind_violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | No
 
 
 def has_fuzzy_kind(m: GammaMagma, f: FuzzySubset, kind: str) -> bool:
-    return kind in kinds_on_cuts(m, f, (kind,))
+    return kind in CutKinds(m)(f, (kind,))
 
 
-# one predicate per kind the table spells, each deciding on the level cuts
+# Nothing in gammag calls these seven predicates; they stay because the
+# span tracer in perfbench/spans.py wraps them by attribute name.
 is_fuzzy_subgroupoid = partial(has_fuzzy_kind, kind="subgroupoid")
 is_fuzzy_left = partial(has_fuzzy_kind, kind="left")
 is_fuzzy_right = partial(has_fuzzy_kind, kind="right")
@@ -311,7 +289,7 @@ is_fuzzy_idempotent = partial(has_fuzzy_kind, kind="idempotent")
 
 def classify_fuzzy(m: GammaMagma, f: FuzzySubset) -> set[str]:
     """Every fuzzy kind f satisfies, including composition idempotence."""
-    kinds = kinds_on_cuts(m, f, FUZZY_KINDS)
+    kinds = CutKinds(m)(f, FUZZY_KINDS)
     # Two-sided forces both one-sided compositions below f, hence their
     # pointwise min too; a miss here means a product path is wrong.
     if "two_sided" in kinds and "quasi" not in kinds:

@@ -522,7 +522,7 @@ def _equation(eq):
 
 def _admits(held, tests, fs) -> bool:
     """Whether each subset passes its position's kind test (None passes all);
-    held(f, kinds) answers as fuzzy.kinds_on_cuts does."""
+    held is a fuzzy.CutKinds engine, asked held(f, kinds)."""
     return all(test is None or test(held, f) for test, f in zip(tests, fs))
 
 

@@ -326,18 +326,6 @@ def naive_fuzzy_kind(m, fv, kind):
 # family statements, scanned pair by pair and triple by triple
 
 
-def _naive_leq(fv, gv):
-    return all(a <= b for a, b in zip(fv, gv))
-
-
-def _naive_split_below(f, family, combine):
-    for g in family:
-        for h in family:
-            if _naive_leq(combine(g, h), f) and not _naive_leq(g, f) and not _naive_leq(h, f):
-                return g, h
-    return None
-
-
 def naive_semilattice(m, family):
     """The semilattice flags the family fails and its first failure, as
     (clause, subsets, derived (name, vector) pairs), or None; family holds

@@ -50,7 +50,6 @@ from gammag.fuzzy import (
     classify_fuzzy,
     fuzzy_from_dict,
     gamma_product,
-    kinds_on_cuts,
     level_cut,
     meet,
 )
@@ -500,7 +499,6 @@ _NAME_ARGUMENTS = [
     ("check_single_law", lambda v: check_single_law(_M, v)),
     ("from_base_with_terms pattern", lambda v: from_base_with_terms(((0, 1), (1, 0)), (v,))),
     ("enumerate_ideals", lambda v: enumerate_ideals(_M, v)),
-    ("kinds_on_cuts", lambda v: kinds_on_cuts(_M, _F, ("left", v))),
     ("CutKinds", lambda v: CutKinds(_M)(_F, ("left", v))),
     ("SearchSpec laws", lambda v: SearchSpec(order=2, laws=v)),
     ("SearchSpec law", lambda v: SearchSpec(order=2, laws=("medial", v))),
@@ -520,7 +518,6 @@ _COLLECTION_ARGUMENTS = [
     ("GammaMagma tables", lambda v: GammaMagma(order=2, gamma=("a",), tables=v), (None, 5, {_T})),
     ("GammaMagma labels", lambda v: GammaMagma(order=2, gamma=("a",), tables=(_T,), labels=v), ("pq", 5)),
     ("FuzzySubset values", FuzzySubset, (None, "01", 5, {1})),
-    ("kinds_on_cuts kinds", lambda v: kinds_on_cuts(_M, _F, v), (None, 5, {"left": 0})),
     ("CutKinds kinds", lambda v: CutKinds(_M)(_F, v), (None, 5, {"left": 0})),
     ("from_base_with_terms base", lambda v: from_base_with_terms(v, ("xy",)), (None, 5)),
     ("from_base_with_terms patterns", lambda v: from_base_with_terms(_T, v), (None, 5, {"xy"})),
@@ -548,7 +545,6 @@ _BAD_ARGUMENTS += [("level_cut threshold", lambda v: level_cut(_F, v), value) fo
 _BAD_ARGUMENTS += [
     ("gamma_product subset", lambda v: gamma_product(_M, v, _F), [1] * 2),
     ("meet subset", lambda v: meet(_F, v), None),
-    ("kinds_on_cuts subset", lambda v: kinds_on_cuts(_M, v, ("left",)), CrispSubset(2, 3)),
     ("CutKinds subset", lambda v: CutKinds(_M)(v, ("left",)), CrispSubset(2, 3)),
     ("CutKinds subset", lambda v: CutKinds(_M)(v, ("left",)), FuzzySubset((1,) * 7)),
     ("classify_fuzzy subset", lambda v: classify_fuzzy(_M, v), (1,) * 2),
@@ -600,7 +596,6 @@ _STRUCTURE_ARGUMENTS = [
     ("intra_regular_witness", lambda v: intra_regular_witness(v, 0)),
     ("gamma_product", lambda v: gamma_product(v, _F, _F)),
     ("classify_fuzzy", lambda v: classify_fuzzy(v, _F)),
-    ("kinds_on_cuts", lambda v: kinds_on_cuts(v, _F, ("left",))),
     ("CutKinds", lambda v: CutKinds(v)(_F, ("left",))),
     ("verify", lambda v: verify(v, "sf", _ONE)),
     ("structure_hypotheses", structure_hypotheses),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from gammag.crisp import IDEAL_KINDS, CrispSubset, KindProducts, classify_subset, enumerate_ideals
+from gammag.crisp import IDEAL_KINDS, KIND_SHAPES, CrispSubset, KindProducts, classify_subset, enumerate_ideals
 from gammag.finder import SearchSpec, enumerate_models
 from gammag.fuzzy import (
     FUZZY_KINDS,
@@ -21,7 +21,6 @@ from gammag.fuzzy import (
     classify_fuzzy,
     has_fuzzy_kind,
     kind_violation,
-    kinds_on_cuts,
 )
 
 
@@ -66,14 +65,14 @@ def test_crisp_kind_paths_match_naive_on_every_subset(li_models_small, ag9):
         for bits, kinds in want.items():
             a = CrispSubset(m.order, bits)
             assert classify_subset(m, a) == kinds, (m.tables, bits)
-            assert kinds_on_cuts(m, characteristic(a), IDEAL_KINDS) == kinds, (m.tables, bits)
+            assert CutKinds(m)(characteristic(a), IDEAL_KINDS) == kinds, (m.tables, bits)
         # a subset with several levels has a kind exactly when each cut has it
         for _ in range(20):
             values = [rng.randint(0, 3) for _ in range(m.order)]
             cuts = {sum(1 << i for i, v in enumerate(values) if v >= t) for t in set(values) - {0}}
             kinds = set(IDEAL_KINDS).intersection(*(want[cut] for cut in cuts))
             f = FuzzySubset(tuple(Fraction(v, 3) for v in values))
-            assert kinds_on_cuts(m, f, IDEAL_KINDS) == kinds, (m.tables, values)
+            assert CutKinds(m)(f, IDEAL_KINDS) == kinds, (m.tables, values)
 
 
 # the products each kind reads besides A and S
@@ -110,3 +109,26 @@ def test_one_kind_question_builds_only_the_products_it_reads(monkeypatch, ir5):
             assert len(built) == len(set(built)) and shapes <= reads, (kind, f.values)
             seen.update(shapes)
         assert seen == reads, kind
+
+
+# multi-part kinds and their parts, in table order
+_PARTS = {"two_sided": ("left", "right"), "bi": ("subgroupoid", "generalized_bi")}
+
+
+def test_multi_part_witness_is_the_first_failing_part(ir5, ag9):
+    assert tuple(KIND_SHAPES) == IDEAL_KINDS
+    for parts in KIND_SHAPES.values():
+        for shape in (shape for part in parts for shape in part):
+            assert len(shape) >= 2 and set(shape) <= {"A", "S"} and "A" in shape, shape
+    for kind, parts in _PARTS.items():
+        assert KIND_SHAPES[kind] == tuple(part for name in parts for part in KIND_SHAPES[name]), kind
+    both_fail = {}
+    for m, lattice in ((ir5, Lattice(2)), (ag9, Lattice(1))):
+        for f in lattice.subsets(m.order):
+            for kind, parts in _PARTS.items():
+                witnesses = [kind_violation(m, f, part) for part in parts]
+                first = next((w for w in witnesses if w is not None), None)
+                assert kind_violation(m, f, kind) == first, (m.tables, f.values, kind)
+                both_fail[m.order, kind] = both_fail.get((m.order, kind), 0) + (None not in witnesses)
+    # on these subsets the part order decides which witness is reported
+    assert both_fail == {(5, "two_sided"): 233, (5, "bi"): 189, (9, "two_sided"): 510, (9, "bi"): 501}

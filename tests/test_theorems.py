@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
-from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, kinds_on_cuts, leq, meet
+from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, leq, meet
 from gammag import fuzzy, theorems
 from gammag.crisp import KindProducts
 from gammag.theorems import (
@@ -270,12 +270,12 @@ def test_prefilter_and_guard_kinds_decided_once_per_verify(monkeypatch, ir5, tid
     assert decided and len(decided) == len(set(decided))
 
 
-def test_cut_memo_answers_as_kinds_on_cuts(ir5, m2):
+def test_shared_cut_memo_answers_as_a_fresh_engine(ir5, m2):
     for m, den in ((ir5, 2), (m2, 3)):
         held = fuzzy.CutKinds(m)
         for f in Lattice(den).subsets(m.order):
-            assert held(f, FUZZY_KINDS) == kinds_on_cuts(m, f, FUZZY_KINDS)
-            assert held(f, ("left", "quasi")) == kinds_on_cuts(m, f, ("left", "quasi"))
+            assert held(f, FUZZY_KINDS) == fuzzy.CutKinds(m)(f, FUZZY_KINDS)
+            assert held(f, ("left", "quasi")) == fuzzy.CutKinds(m)(f, ("left", "quasi"))
         assert len(held) <= 2 ** m.order - 1
 
 
