@@ -7,11 +7,8 @@ pure table scans, so everything here is exact and deterministic.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from operator import and_
 
 from .core import (
     CapacityError,
@@ -276,67 +273,62 @@ def is_intra_regular(m: GammaMagma) -> bool:
     """Whether every element a has a decomposition (x b (a xi a)) g y.
 
     Those values over all x, y and labels make up the product (S M) S,
-    where M is the mask of every a xi a; so each a is decided by two mask
-    products and one membership test, without the witness search."""
+    spelled "SAS" with M for A, where M is the mask of every a xi a; so
+    each a is decided by two mask products and one membership test,
+    without the witness search."""
     checked_structure(m)
-    rows, full = m.row_unions, (1 << m.order) - 1
+    step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
     for a in range(m.order):
         squares = 0
         for table in m.tables:
             squares |= 1 << table[a][a]
-        if not _mask_product(rows, _mask_product(rows, full, squares), full) >> a & 1:
+        if not shape_product(step, "SAS", squares, full) >> a & 1:
             return False
     return True
-
-
-def _swept(m: GammaMagma, shape: str) -> list[int] | array:
-    """The product shape spells (A once in it) for every mask, by mask.
-
-    Such a product distributes over unions of A, so the product for a mask
-    is that of the mask without its top element joined with the top
-    element's product: each element doubles the masks swept so far. Past
-    2**8 masks they are held as machine words, not as a list of ints."""
-    step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
-    out = [0]
-    for x in range(m.order):
-        p = shape_product(step, shape, 1 << x, full)
-        if x == 8:
-            out = array("L", out)
-        out += [q | p for q in out] if x < 8 else array("L", map(p.__or__, out))
-    return out
 
 
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     """All non-empty subsets of the given kind, in ascending bit-pattern order.
 
-    A product in which A occurs once (SA, AS, SAS) distributes over unions
-    of A, so it is swept over all masks at once from one product per
-    element (_swept); AA and ASA = (AS) A take
-    one more product per mask. A later part is tested only on the masks
-    that passed the parts before, each taken on its own when they are no
-    more than the elements a sweep would cost.
+    Every product in KIND_SHAPES grows with A, so g(X) = X | the union
+    over parts of the meet of their products is monotone and extensive,
+    and A has the kind exactly when g(A) == A. If g fixes X and Y it maps
+    X & Y into g(X) & g(Y) = X & Y, so the fixed points are closed under
+    intersection; they include S and the empty set, whose products are
+    empty. Iterating g from X stays inside every fixed point above X and
+    stops within n steps, so it reaches the least of them, the closure of
+    X. Ganter's NextClosure ("Two basic algorithms in concept analysis",
+    1984) then lists the fixed points in ascending mask order: the one
+    after A is the closure of A's bits above some bit i missing from A,
+    plus bit i, for the least i whose closure adds no bit above i.
     """
     if checked_structure(m).order > ENUMERATION_ORDER_CAP:
         raise CapacityError(
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
-    checked_name(kind, "ideal kind", IDEAL_KINDS)
+    parts = KIND_SHAPES[checked_name(kind, "ideal kind", IDEAL_KINDS)]
     step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
-    swept = {"A": range(full + 1)}
-    found = swept["A"][1:]
-    for part in KIND_SHAPES[kind]:
-        inside = None  # lazily, per mask of found: the meet of the part's products
-        for shape in part:
-            # a shape with A twice ends in its second A: AA = (A) A, ASA = (AS) A
-            head = shape[:-1] if shape.count("A") > 1 else shape
-            if head not in swept and len(found) > m.order:
-                swept[head] = _swept(m, head)
-            if head not in swept:
-                products = map(shape_product, repeat(step), repeat(shape), found, repeat(full))
-            elif head == shape:
-                products = map(swept[head].__getitem__, found)
-            else:
-                products = map(step, map(swept[head].__getitem__, found), found)
-            inside = products if inside is None else map(and_, inside, products)
-        found = [a for a, p in zip(found, inside) if not p & ~a]
+
+    def grow(x: int) -> int:
+        out = x
+        for part in parts:
+            inside = full
+            for shape in part:
+                inside &= shape_product(step, shape, x, full)
+            out |= inside
+        return out
+
+    found, a = [], 0
+    while a != full:
+        for i in range(m.order):
+            if a >> i & 1:
+                continue
+            b = (a >> i | 1) << i
+            c = grow(b)
+            # stop as soon as the closure takes a bit above i that A lacks
+            while c != b and c >> i == b >> i:
+                b, c = c, grow(c)
+            if c == b:
+                break
+        found.append(a := b)
     return [CrispSubset(m.order, a) for a in found]

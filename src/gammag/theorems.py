@@ -805,7 +805,9 @@ def verify(
 
     Family-level statements always enumerate the full two-sided family:
     a sampled sub-family would fabricate closure violations, so the mode
-    only affects per-subset quantification.
+    only affects per-subset quantification. A sampled run in which no draw
+    passes the pre-filters and the premise has checked nothing, so it
+    raises CapacityError rather than holding vacuously.
     """
     entry = REGISTRY[checked_name(theorem_id, "theorem id", REGISTRY)]
     _check_request(lattice, mode, seed, samples, budget)
@@ -843,6 +845,9 @@ def verify(
         violation = check(m, *fs)
         if violation is not None:
             return _verdict(entry, "counterexample", lattice, mode, seed, samples, checked, violation=violation)
+    if checked == 0 and mode == "sampled":
+        # no evidence either way: a capacity stop, not a vacuous holds
+        raise CapacityError(f"no sampled draw of {samples} passed the row's pre-filters and premise")
     return _verdict(entry, "holds", lattice, mode, seed, samples, checked)
 
 

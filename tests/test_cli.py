@@ -337,6 +337,14 @@ def test_verify_sampled_mode(capsys):
         assert code == 2, bad
 
 
+def test_verify_sampled_mode_with_nothing_checked_is_a_capacity_stop(capsys):
+    # no draw passes sf's one-sided pre-filters on ag9 at den 4
+    code, out, err = run(
+        capsys, "verify", "ag9", "--theorem", "sf", "--lattice", "4", "--mode", "sampled:1:2000"
+    )
+    assert code == 3 and out == "" and err.startswith("capacity: no sampled draw")
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "ir5", "--theorem", "zzz")
     assert code == 2 and "zzz" in err

@@ -146,8 +146,32 @@ def test_enumerate_ideals_matches_naive(ir5, ag9, li_models_small):
             assert [a.bits for a in enumerate_ideals(m, kind)] == want[kind], (m.tables, kind)
 
 
-def test_enumerate_ideals_sweeps_one_sided_products(monkeypatch):
-    # left is swept from one product per element, not one per mask
+def test_enumerate_ideals_above_the_oracle_orders():
+    # order 16: each kind's list is the masks classify_subset gives the kind
+    m = _seeded_structure(random.Random(1830), 16, 2)
+    want = {kind: [] for kind in IDEAL_KINDS}
+    for bits in range(1, 1 << m.order):
+        for kind in classify_subset(m, CrispSubset(m.order, bits)):
+            want[kind].append(bits)
+    for kind in IDEAL_KINDS:
+        assert [a.bits for a in enumerate_ideals(m, kind)] == want[kind], kind
+
+
+def test_enumerate_ideals_order_18_family_sizes():
+    # x a y = x, x b y = min(x, y): every subset is a subgroupoid, and the
+    # down-sets {0, ..., k} are the right, bi, generalized bi and quasi ideals
+    n = 18
+    m = GammaMagma(order=n, gamma=("a", "b"), tables=(
+        tuple(tuple(x for _ in range(n)) for x in range(n)),
+        tuple(tuple(min(x, y) for y in range(n)) for x in range(n))))
+    sizes = [len(enumerate_ideals(m, kind)) for kind in IDEAL_KINDS]
+    assert sizes == [2**n - 1, 1, n, 1, n, n, 1, n]
+    assert [a.bits for a in enumerate_ideals(m, "bi")] == [(2 << k) - 1 for k in range(n)]
+
+
+def test_enumerate_ideals_cost_follows_the_family(monkeypatch):
+    # each member is reached from the one before in at most n closures of
+    # at most n steps, each step one product per factor after the first
     m = _seeded_large_structures()[3]
     assert m.order == 12
     calls = []
@@ -158,8 +182,11 @@ def test_enumerate_ideals_sweeps_one_sided_products(monkeypatch):
 
     mask_product = crisp._mask_product
     monkeypatch.setattr(crisp, "_mask_product", counted)
-    enumerate_ideals(m, "left")
-    assert 0 < len(calls) <= 2 * m.order
+    for kind in IDEAL_KINDS:
+        calls.clear()
+        family = enumerate_ideals(m, kind)
+        factors = sum(len(shape) - 1 for part in crisp.KIND_SHAPES[kind] for shape in part)
+        assert 0 < len(calls) <= len(family) * m.order ** 2 * factors < 2 ** m.order, kind
 
 
 def test_enumerate_ideals_frozen_two_sided(ir5):

@@ -182,7 +182,9 @@ def test_verify_rejects_bad_arguments(ir5):
     # a sampled draw takes at least one base den + 1 digit from each 256-bit digest
     with pytest.raises(InputError, match="2\\*\\*256"):
         verify(ir5, "sf", Lattice(2**256), mode="sampled", seed=1, samples=1)
-    assert verify(ir5, "sf", Lattice(2**256 - 1), mode="sampled", seed=1, samples=1).status == "holds"
+    # trm_i has no pre-filter, so its one draw at the largest den is checked
+    v = verify(ir5, "trm_i", Lattice(2**256 - 1), mode="sampled", seed=1, samples=1)
+    assert (v.status, v.checked) == ("holds", 1)
     for budget in (0, -1, 1.5):
         with pytest.raises(InputError, match="budget"):
             verify(ir5, "sf", lat, budget=budget)
@@ -569,6 +571,18 @@ def test_sampled_mode_is_deterministic(ir5):
     c = verify(ir5, "sf", Lattice(2), mode="sampled", seed=3, samples=30)
     assert c == verify(ir5, "sf", Lattice(2), mode="sampled", seed=3, samples=30)
     assert c.status == "holds" and 0 <= c.checked <= 30
+
+
+def test_sampled_mode_stops_when_nothing_is_checked(ir5, ag9):
+    # no draw of 2000 passes sf's one-sided pre-filters on ag9 at den 4:
+    # a capacity stop, not a vacuous holds, and verify_all records it so
+    with pytest.raises(CapacityError, match="^no sampled draw of 2000 passed"):
+        verify(ag9, "sf", Lattice(4), mode="sampled", seed=1, samples=2000)
+    with pytest.raises(CapacityError, match="^no sampled draw of 1 passed"):
+        verify(ir5, "sf", Lattice(2**256 - 1), mode="sampled", seed=1, samples=1)
+    v = verify_all(ag9, Lattice(4), "sampled", 1, 200)["sf"]
+    assert (v.status, v.checked) == ("capacity_error", 0)
+    assert v.detail.startswith("no sampled draw")
 
 
 def test_sample_subset_frozen_values():
