@@ -49,6 +49,11 @@ KIND_SHAPES = {
     "quasi": (("SA", "AS"),),
 }
 
+# Fixed-point keys: "=" and a shape ask whether the product the shape
+# spells is A itself. The fuzzy reading is the equation shape(f, ones) == f
+# ("=SA" is ones*f == f), which the coincide rows of gammag.theorems state.
+FIXED_POINTS = ("=SA", "=AS", "=SAS", "=ASA", "=AA")
+
 ENUMERATION_ORDER_CAP = 20
 
 
@@ -168,21 +173,25 @@ def set_product(m: GammaMagma, a: CrispSubset, b: CrispSubset) -> CrispSubset:
 
 class KindProducts(dict):
     """The products of a subset mask A and the carrier S spelled as in
-    KIND_SHAPES ("SAS" and so on), and the kinds of A by name, each
-    computed on first use and shared by every later question about A.
+    KIND_SHAPES ("SAS" and so on), the fixed-point keys of FIXED_POINTS,
+    and the kinds of A by name, each computed on first use and shared by
+    every later question about A.
 
     A kind holds when each of its parts holds, in table order, and a part
-    holds when the meet of its products stays inside A; "idempotent"
-    holds when A A == A."""
+    holds when the meet of its products stays inside A; a fixed-point key
+    "=" + shape holds when the product the shape spells equals A, and
+    "idempotent" is "=AA"."""
 
     def __init__(self, m: GammaMagma, a: int):
         self["A"], self["S"], self.rows = a, (1 << m.order) - 1, m.row_unions
 
     def __missing__(self, key: str) -> int | bool:
-        if key.isupper():  # a product, spelled in A and S
+        if key[0] == "=":  # before the product test: "=SA".isupper() holds too
+            value = self[key[1:]] == self["A"]
+        elif key.isupper():  # a product, spelled in A and S
             value = _mask_product(self.rows, self[key[:-1]], self[key[-1]])
         elif key == "idempotent":
-            value = self["AA"] == self["A"]
+            value = self["=AA"]
         else:
             value = True
             for part in KIND_SHAPES[key]:
@@ -287,6 +296,32 @@ def is_intra_regular(m: GammaMagma) -> bool:
     return True
 
 
+def _compile_step(kind: str):
+    """The closure step g(X) = X | the union over the kind's parts of the
+    meet of their products, as one straight-line function
+    step(x, s, product, rows) with x for A and s for S. Each product is one
+    call product(rows, left, right), built once per spelling and in the
+    order the table spells it, so a step asks the products a fold of
+    shape_product over the parts asks."""
+    names, lines = {"A": "x", "S": "s"}, []
+
+    def name(shape: str) -> str:
+        if shape not in names:
+            left, right = name(shape[:-1]), names[shape[-1]]
+            names[shape] = f"p{len(lines)}"
+            lines.append(f" {names[shape]} = product(rows, {left}, {right})")
+        return names[shape]
+
+    meets = [" & ".join(map(name, part)) for part in KIND_SHAPES[kind]]
+    src = ["def step(x, s, product, rows):", *lines, " return " + " | ".join(["x", *meets])]
+    namespace = {}
+    exec(compile("\n".join(src), f"<{kind} closure step>", "exec"), namespace)
+    return namespace["step"]
+
+
+_CLOSURE_STEPS = {kind: _compile_step(kind) for kind in IDEAL_KINDS}
+
+
 def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     """All non-empty subsets of the given kind, in ascending bit-pattern order.
 
@@ -300,34 +335,25 @@ def enumerate_ideals(m: GammaMagma, kind: str) -> list[CrispSubset]:
     X. Ganter's NextClosure ("Two basic algorithms in concept analysis",
     1984) then lists the fixed points in ascending mask order: the one
     after A is the closure of A's bits above some bit i missing from A,
-    plus bit i, for the least i whose closure adds no bit above i.
+    plus bit i, for the least i whose closure adds no bit above i. g is
+    the kind's compiled step (_compile_step).
     """
     if checked_structure(m).order > ENUMERATION_ORDER_CAP:
         raise CapacityError(
             f"subset enumeration is capped at order {ENUMERATION_ORDER_CAP}; got {m.order}"
         )
-    parts = KIND_SHAPES[checked_name(kind, "ideal kind", IDEAL_KINDS)]
-    step, full = partial(_mask_product, m.row_unions), (1 << m.order) - 1
-
-    def grow(x: int) -> int:
-        out = x
-        for part in parts:
-            inside = full
-            for shape in part:
-                inside &= shape_product(step, shape, x, full)
-            out |= inside
-        return out
-
+    step = _CLOSURE_STEPS[checked_name(kind, "ideal kind", IDEAL_KINDS)]
+    full, product, rows = (1 << m.order) - 1, _mask_product, m.row_unions
     found, a = [], 0
     while a != full:
         for i in range(m.order):
             if a >> i & 1:
                 continue
             b = (a >> i | 1) << i
-            c = grow(b)
+            c = step(b, full, product, rows)
             # stop as soon as the closure takes a bit above i that A lacks
             while c != b and c >> i == b >> i:
-                b, c = c, grow(c)
+                b, c = c, step(c, full, product, rows)
             if c == b:
                 break
         found.append(a := b)

@@ -26,7 +26,7 @@ from .core import (
     checked_structure,
     json_fields,
 )
-from .crisp import IDEAL_KINDS, KIND_SHAPES, CrispSubset, KindProducts, shape_product
+from .crisp import FIXED_POINTS, IDEAL_KINDS, KIND_SHAPES, CrispSubset, KindProducts, shape_product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,14 +200,16 @@ def _first_failure(relation: str, lhs: FuzzySubset, rhs: FuzzySubset) -> KindWit
 
 
 def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
-    """First failure of kind as the kind table defines it; parts in table order."""
-    if kind == "idempotent":
-        return _first_failure("eq", gamma_product(m, f, f), f)
+    """First failure of kind as the kind table defines it, parts in table
+    order; for a fixed-point key, the first a where its composition is not f."""
+    step, ones = partial(gamma_product, m), FuzzySubset.ones(m.order)
+    if kind == "idempotent" or kind in FIXED_POINTS:
+        shape = "AA" if kind == "idempotent" else kind[1:]
+        return _first_failure("eq", shape_product(step, shape, f, ones), f)
     for part in KIND_SHAPES[kind]:
         if len(part) == 1:
             w = _product_violation(m, f, part[0])
         else:  # f against the meet of the part's compositions
-            step, ones = partial(gamma_product, m), FuzzySubset.ones(m.order)
             bound = reduce(meet, (shape_product(step, shape, f, ones) for shape in part))
             w = _first_failure("geq", f, bound)
         if w is not None:
@@ -215,10 +217,11 @@ def _violation(m: GammaMagma, f: FuzzySubset, kind: str) -> KindWitness | None:
     return None
 
 
-def _level_cuts(f: FuzzySubset):
-    """The masks of f's non-empty level cuts, from the top value down."""
+def _level_cuts(num):
+    """The masks of the non-empty level cuts of a subset with numerators
+    num (f.scaled[1]), from the top value down."""
     by_value = {}
-    for i, v in enumerate(f.scaled[1]):
+    for i, v in enumerate(num):
         if v:
             by_value[v] = by_value.get(v, 0) | 1 << i
     cut = 0
@@ -233,11 +236,21 @@ class CutKinds(dict):
     f has a kind exactly when every non-empty level cut has the crisp
     kind (for idempotent, A A == A): the decomposition theorem (Mordeson,
     Malik & Kuroki, Fuzzy Semigroups, 2003, ch. 2), as the cut of a
-    composition is the product of the cuts. held = CutKinds(m) keeps one
-    KindProducts per cut mask asked about, so each product and each kind
-    of a cut is decided once while held lives (one run of questions, such
-    as one verify call). held(f, kinds) decides only the kinds still held
-    on the next cut, from the top value down.
+    composition is the product of the cuts.
+
+    The fixed-point keys of crisp.FIXED_POINTS read the same way, "=SAS"
+    as the equation (ones*f)*ones == f. The cut of ones is S at every
+    t > 0, so the cut of such a composition at t is the crisp product
+    of f's cut and S, and the composition takes its values among f's
+    values and 0, as f does. Two subsets with values in one finite set are
+    equal exactly when their cuts at its non-zero values are; so the
+    equation holds exactly when every non-empty cut of f is fixed.
+
+    held = CutKinds(m) keeps one KindProducts per cut mask asked about,
+    so each product and each kind of a cut is decided once while held
+    lives (one run of questions, such as one verify call). held(f, kinds)
+    decides only the kinds still held on the next cut, from the top value
+    down.
     """
 
     def __init__(self, m: GammaMagma):
@@ -250,8 +263,8 @@ class CutKinds(dict):
     def __call__(self, f: FuzzySubset, kinds) -> set[str]:
         _check_carrier(self.m, f)
         kinds = checked_collection(kinds, "kinds", (list, tuple, set, frozenset))
-        held = {checked_name(k, "fuzzy kind", FUZZY_KINDS) for k in kinds}
-        for cut in _level_cuts(f):
+        held = {checked_name(k, "fuzzy kind", FUZZY_KINDS + FIXED_POINTS) for k in kinds}
+        for cut in _level_cuts(f.scaled[1]):
             held = set(filter(self[cut].__getitem__, held))
             if not held:
                 break

@@ -39,6 +39,7 @@ from .fuzzy import (
     CutKinds,
     FuzzySubset,
     Lattice,
+    _level_cuts,
     characteristic,
     gamma_product,
     kind_violation,
@@ -570,36 +571,47 @@ def _holds(conclusions):
     return check, premise, [sides for _, _, sides in steps]
 
 
+# each equation a coincide row states, as the CutKinds fixed-point key deciding it
+_FIXED_POINT_KEYS = {
+    "ones*f == f": "=SA",
+    "f*ones == f": "=AS",
+    "(ones*f)*ones == f": "=SAS",
+    "(f*ones)*f == f": "=ASA",
+    "f*f == f": "=AA",
+}
+
+
 def _coincide(conditions):
-    """Checker for a "coincide" row: every condition is decided, then the
-    first that holds is set against the first that fails. The kinds are
-    asked of held, the caller's CutKinds memo or a new one."""
+    """Checker for a "coincide" row, and each condition's CutKinds keys: a
+    kind is its own key, and an equation group one fixed-point key per
+    equation. Every condition is decided on held, the caller's CutKinds
+    memo or a new one, and the first that holds is set against the first
+    that fails; only then are the equations evaluated, for the witness."""
     parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(eq) for eq in c[1]]) for c in conditions]
-    kinds = [c for c in conditions if isinstance(c, str)]
+    keys = tuple((name,) if eqs is None else tuple(_FIXED_POINT_KEYS[f"{ln} == {rn}"] for ln, _, rn, _ in eqs)
+                 for name, eqs in parts)
+    asked = frozenset().union(*keys)
 
     def check(m, *fs, held=None):
-        f, alg = fs[0], _subset_algebra(m)
-        held = (CutKinds(m) if held is None else held)(f, kinds)
-        found = []  # per condition: (holds, evaluated sides of its equations)
-        for name, equations in parts:
-            if equations is None:
-                found.append((name in held, None))
-            else:
-                sides = [(ln, lv(alg, fs), rn, rv(alg, fs)) for ln, lv, rn, rv in equations]
-                found.append((all(lhs == rhs for _, lhs, _, rhs in sides), sides))
-        flags = [ok for ok, _ in found]
+        f = fs[0]
+        found = (CutKinds(m) if held is None else held)(f, asked)
+        flags = [found.issuperset(k) for k in keys]
         if all(flags) or not any(flags):
             return None
         t, u = flags.index(True), flags.index(False)
         (true_name, true_eqs), (false_name, false_eqs) = parts[t], parts[u]
+        alg = _subset_algebra(m)
         if false_eqs is None:
-            derived = (("f", f),) if true_eqs is None else [(ln, lhs) for ln, lhs, _, _ in found[t][1]]
+            derived = (("f", f),) if true_eqs is None else [(ln, lv(alg, fs)) for ln, lv, _, _ in true_eqs]
             w = kind_violation(m, f, false_name)
             return _kind_failure(f"{true_name} but not {false_name}", fs, derived, false_name, w)
-        ln, lhs, rn, rhs = next(s for s in found[u][1] if s[1] != s[3])
-        return _eq_check(f"{true_name} but {ln} != {rn}", fs, ln, lhs, rn, rhs)
+        for ln, lv, rn, rv in false_eqs:
+            lhs, rhs = lv(alg, fs), rv(alg, fs)
+            if lhs != rhs:
+                return _eq_check(f"{true_name} but {ln} != {rn}", fs, ln, lhs, rn, rhs)
+        raise AssertionError("a level cut fails a fixed point but its equations hold")
 
-    return check
+    return check, keys
 
 
 def _linear_sides(filters, items, sides):
@@ -642,6 +654,7 @@ class TheoremEntry:
     premise: Callable | None = None  # premise(held, *fs) for a guarded row, held(f, kinds) a kinds query
     pre_filters: tuple | None = None
     linear: tuple | None = None  # (lhs, rhs) closures of each equation of a linear row
+    conditions: tuple | None = None  # a coincide row's CutKinds keys, per condition
 
     @property
     def family(self) -> bool:
@@ -652,17 +665,18 @@ def _entry(theorem_id, summary, hypotheses, filters, shape, items) -> TheoremEnt
     """Compile one row; the arity is the number of variables the row uses."""
     if shape == "family":
         return TheoremEntry(theorem_id, summary, hypotheses, 0, items)
+    conditions = None
     if shape == "holds":
         check, premise, sides = _holds(items)
         linear = _linear_sides(filters, items, sides)
         terms = [t for lhs, rel, rhs, *_ in items for t in ((lhs, rhs) if rel == "==" else (lhs,))]
     else:
-        check, premise, linear = _coincide(items), None, None
+        (check, conditions), premise, linear = _coincide(items), None, None
         groups = [c[1] for c in items if not isinstance(c, str)]
         terms = ["f"] + [t for equations in groups for lhs, _, rhs in equations for t in (lhs, rhs)]
     arity = 1 + max(_VARIABLES.index(s) for t in terms for s in _symbols(t) if s in _VARIABLES)
     pre_filters = tuple(_pre_filter(spec) for spec in filters or ("",) * arity)
-    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear)
+    return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear, conditions)
 
 
 REGISTRY = {row[0]: _entry(*row) for row in _ROWS}
@@ -769,6 +783,41 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
     return checked, None
 
 
+def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
+    """Decide a coincide row on every lattice subset: (subsets checked,
+    first violation or None), as the subset walk would report them.
+
+    f meets a condition exactly when each of its non-empty level cuts
+    meets all of the condition's CutKinds keys (see fuzzy.CutKinds). So
+    the walk runs over numerator tuples in Lattice.subsets order, reads
+    each tuple's cut chain, and ANDs the per-cut condition flags, which a
+    memo for this walk keeps per cut mask. The subset is built, and the
+    row's check called for its witness, only at the first tuple where the
+    conditions disagree."""
+    every = (1 << len(entry.conditions)) - 1
+    flags = {}  # cut mask -> bit i set when condition i holds on the cut
+    checked = 0
+    for num in itertools.product(range(lattice.den + 1), repeat=m.order):
+        checked += 1
+        agree = every
+        for cut in _level_cuts(num):
+            bits = flags.get(cut)
+            if bits is None:
+                products = held[cut]
+                bits = flags[cut] = sum(1 << i for i, keys in enumerate(entry.conditions)
+                                        if all(products[k] for k in keys))
+            agree &= bits
+            if not agree:
+                break
+        if agree and agree != every:
+            f = FuzzySubset(tuple(Fraction(v, lattice.den) for v in num))
+            violation = entry.check(m, f, held=held)
+            if violation is None:
+                raise AssertionError("the cut flags disagree but the row's check passes")
+            return checked, violation
+    return checked, None
+
+
 def _sampled_tuples(m, entry, lattice, seed, samples, budget, held):
     """The seeded draws, in counter order, that pass every pre-filter."""
     if samples * entry.arity > budget:
@@ -826,6 +875,11 @@ def verify(
     # conclusions, coincide conditions) reads one memo keyed by cut mask
     held = CutKinds(m)
     if mode == "exhaustive":
+        # a coincide row walks cut chains; past the budget it stops in _exhaustive_pools
+        if entry.conditions is not None and lattice.count(m.order) <= budget:
+            checked, violation = _cut_walk(m, entry, lattice, held)
+            status = "holds" if violation is None else "counterexample"
+            return _verdict(entry, status, lattice, mode, seed, samples, checked, violation=violation)
         pools = _exhaustive_pools(m, entry, lattice, budget, held)
         if pools is None:
             checked, violation = _singleton_decision(m, entry)

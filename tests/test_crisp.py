@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -187,6 +188,33 @@ def test_enumerate_ideals_cost_follows_the_family(monkeypatch):
         family = enumerate_ideals(m, kind)
         factors = sum(len(shape) - 1 for part in crisp.KIND_SHAPES[kind] for shape in part)
         assert 0 < len(calls) <= len(family) * m.order ** 2 * factors < 2 ** m.order, kind
+
+
+def test_compiled_closure_steps_match_the_shape_fold(ir5, ag9, li_models_small):
+    # on every mask, each kind's step returns the fold of shape_product
+    # over its parts, and asks the same products in the same order
+    calls = []
+
+    def product(rows, a, b):
+        calls.append((a, b))
+        return crisp._mask_product(rows, a, b)
+
+    for m in (ir5, ag9, *li_models_small, _seeded_large_structures()[3]):
+        full, fold = (1 << m.order) - 1, functools.partial(product, m.row_unions)
+        for kind in IDEAL_KINDS:
+            step = crisp._CLOSURE_STEPS[kind]
+            for x in range(1 << m.order):
+                calls.clear()
+                want = x
+                for part in crisp.KIND_SHAPES[kind]:
+                    inside = full
+                    for shape in part:
+                        inside &= crisp.shape_product(fold, shape, x, full)
+                    want |= inside
+                folded = calls[:]
+                calls.clear()
+                assert step(x, full, product, m.row_unions) == want, (m.tables, kind, x)
+                assert calls == folded, (m.tables, kind, x)
 
 
 def test_enumerate_ideals_frozen_two_sided(ir5):

@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from gammag.crisp import IDEAL_KINDS, KIND_SHAPES, CrispSubset, KindProducts, classify_subset, enumerate_ideals
+from gammag.crisp import (
+    FIXED_POINTS,
+    IDEAL_KINDS,
+    KIND_SHAPES,
+    CrispSubset,
+    KindProducts,
+    classify_subset,
+    enumerate_ideals,
+)
 from gammag.finder import SearchSpec, enumerate_models
 from gammag.fuzzy import (
     FUZZY_KINDS,
@@ -75,7 +83,7 @@ def test_crisp_kind_paths_match_naive_on_every_subset(li_models_small, ag9):
             assert CutKinds(m)(f, IDEAL_KINDS) == kinds, (m.tables, values)
 
 
-# the products each kind reads besides A and S
+# the products each kind and fixed-point key reads besides A and S
 _KIND_PRODUCTS = {
     "subgroupoid": {"AA"},
     "left": {"SA"},
@@ -86,6 +94,11 @@ _KIND_PRODUCTS = {
     "interior": {"SA", "SAS"},
     "quasi": {"SA", "AS"},
     "idempotent": {"AA"},
+    "=SA": {"SA"},
+    "=AS": {"AS"},
+    "=SAS": {"SA", "SAS"},
+    "=ASA": {"AS", "ASA"},
+    "=AA": {"AA"},
 }
 
 
@@ -98,14 +111,15 @@ def test_one_kind_question_builds_only_the_products_it_reads(monkeypatch, ir5):
         return missing(products, key)
 
     monkeypatch.setattr(KindProducts, "__missing__", counted)
-    assert set(_KIND_PRODUCTS) == set(FUZZY_KINDS)
+    assert set(_KIND_PRODUCTS) == set(FUZZY_KINDS + FIXED_POINTS)
     for kind, reads in _KIND_PRODUCTS.items():
         seen = set()
         for f in Lattice(2).subsets(ir5.order):
             built.clear()
             CutKinds(ir5)(f, (kind,))
-            # each product of a cut is built once, and only those kind reads
-            shapes = {shape for _, shape in built if shape.isupper()}
+            # each product of a cut is built once, and only those kind reads;
+            # a fixed-point key such as "=SA" is no product, though isupper() holds
+            shapes = {shape for _, shape in built if shape.isalpha() and shape.isupper()}
             assert len(built) == len(set(built)) and shapes <= reads, (kind, f.values)
             seen.update(shapes)
         assert seen == reads, kind

@@ -558,6 +558,62 @@ def test_linear_row_over_budget_decided_on_singletons(ir5, m2):
 
 
 # ---------------------------------------------------------------------------
+# coincide rows walked as level-cut chains, against brute force
+
+_COINCIDE_ROWS = [row for row in theorems._ROWS if row[4] == "coincide"]
+
+
+def _naive_term(m, term, fv):
+    if term == "f":
+        return tuple(fv)
+    if term == "ones":
+        return (Fraction(1),) * m.order
+    _, left, right = term
+    return oracles.naive_gamma_product(m, _naive_term(m, left, fv), _naive_term(m, right, fv))
+
+
+def _naive_condition(m, condition, fv):
+    if isinstance(condition, str):
+        return oracles.naive_fuzzy_kind(m, fv, condition)
+    return all(_naive_term(m, lhs, fv) == _naive_term(m, rhs, fv) for lhs, _, rhs in condition[1])
+
+
+def _naive_coincide(m, conditions, lattice):
+    """(checked, first subset whose conditions disagree or None), by a loop over Lattice.subsets."""
+    for checked, f in enumerate(lattice.subsets(m.order), 1):
+        flags = {_naive_condition(m, c, f.values) for c in conditions}
+        if flags == {True, False}:
+            return checked, f
+    return checked, None
+
+
+def test_cut_walk_matches_brute_force_on_small_models(li_models_small):
+    # verify gates these structures out by hypothesis, and only there do
+    # the conditions of a coincide row disagree, so the walk is called directly
+    tables = [
+        GammaMagma(order=2, gamma=("a",), tables=((flat[:2], flat[2:]),))
+        for flat in itertools.product(range(2), repeat=4)
+    ]
+    assert len(_COINCIDE_ROWS) == 8
+    statuses = []
+    for m in tables + li_models_small:
+        for den in (1, 2):
+            lattice = Lattice(den)
+            for tid, *_, conditions in _COINCIDE_ROWS:
+                checked, v = theorems._cut_walk(m, REGISTRY[tid], lattice, fuzzy.CutKinds(m))
+                want_checked, first = _naive_coincide(m, conditions, lattice)
+                assert checked == want_checked, (m.tables, tid, den)
+                if first is None:
+                    assert v is None, (m.tables, tid, den)
+                    statuses.append("holds")
+                    continue
+                assert v is not None and v.subsets == (first,), (m.tables, tid, den)
+                assert oracles.replay_violation(m, v), (m.tables, tid, den)
+                statuses.append("counterexample")
+    assert {"holds", "counterexample"} <= set(statuses)
+
+
+# ---------------------------------------------------------------------------
 # sampled mode
 
 
