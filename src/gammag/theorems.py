@@ -8,7 +8,8 @@ lattice-valued subsets (exhaustive) or a seeded pseudo-random sample;
 both paths are deterministic for fixed inputs. A linear row (an identity
 of compositions with each variable once per side) whose exhaustive tuple
 space overflows the budget is decided on singleton tuples instead, which
-decide it at every lattice (see _singleton_decision).
+decide it at every lattice (see _singleton_decision). An exhaustive
+coincide row is decided on its subsets' level-cut chains (see _cut_walk).
 """
 
 from __future__ import annotations

@@ -46,6 +46,9 @@ def test_crisp_kinds_match_naive_on_every_mask(structures):
             assert classify_subset(m, a) == want, (m.tables, bits)
 
 
+_FIXED_POINT_TERMS = {"=SA": "ones*f", "=AS": "f*ones", "=SAS": "(ones*f)*ones", "=ASA": "(f*ones)*f", "=AA": "f*f"}
+
+
 def test_fuzzy_kinds_match_naive_on_every_lattice_subset(structures):
     for m, lattice in structures:
         # one engine per structure, so later subsets read the cuts earlier ones decided
@@ -57,6 +60,17 @@ def test_fuzzy_kinds_match_naive_on_every_lattice_subset(structures):
             for kind in FUZZY_KINDS:
                 assert has_fuzzy_kind(m, f, kind) == (kind in want), (m.tables, f.values, kind)
                 assert (kind_violation(m, f, kind) is None) == (kind in want), (m.tables, f.values, kind)
+            # a fixed-point key holds when its composition is f; its witness is the first a where not
+            for key, term in _FIXED_POINT_TERMS.items():
+                value = oracles.eval_expr(term, m, {"f": f.values})
+                diff = [a for a, (u, v) in enumerate(zip(value, f.values)) if u != v]
+                assert (key in held(f, (key,))) == (not diff), (m.tables, f.values, key)
+                w = kind_violation(m, f, key)
+                if diff:
+                    a = diff[0]
+                    assert tuple(w) == ((a,), (), "eq", value[a], f.values[a]), (m.tables, f.values, key)
+                else:
+                    assert w is None, (m.tables, f.values, key)
 
 
 def test_crisp_kind_paths_match_naive_on_every_subset(li_models_small, ag9):
