@@ -300,9 +300,10 @@ def _compile_step(kind: str):
     """The closure step g(X) = X | the union over the kind's parts of the
     meet of their products, as one straight-line function
     step(x, s, product, rows) with x for A and s for S. Each product is one
-    call product(rows, left, right), built once per spelling and in the
-    order the table spells it, so a step asks the products a fold of
-    shape_product over the parts asks."""
+    call product(rows, left, right), made once per spelling, left to right
+    in table order. No two shapes of one kind in KIND_SHAPES share a
+    product, so a step makes the calls of the fold of shape_product over
+    its parts, call for call."""
     names, lines = {"A": "x", "S": "s"}, []
 
     def name(shape: str) -> str:

@@ -797,9 +797,7 @@ def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
     conditions disagree."""
     every = (1 << len(entry.conditions)) - 1
     flags = {}  # cut mask -> bit i set when condition i holds on the cut
-    checked = 0
-    for num in itertools.product(range(lattice.den + 1), repeat=m.order):
-        checked += 1
+    for checked, num in enumerate(itertools.product(range(lattice.den + 1), repeat=m.order), 1):
         agree = every
         for cut in _level_cuts(num):
             bits = flags.get(cut)
@@ -816,7 +814,7 @@ def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
             if violation is None:
                 raise AssertionError("the cut flags disagree but the row's check passes")
             return checked, violation
-    return checked, None
+    return lattice.count(m.order), None
 
 
 def _sampled_tuples(m, entry, lattice, seed, samples, budget, held):

@@ -11,6 +11,7 @@ from gammag.core import InputError
 from gammag.crisp import IDEAL_KINDS, CrispSubset, classify_subset, set_product
 from gammag.fuzzy import (
     FUZZY_KINDS,
+    CutKinds,
     FuzzySubset,
     Lattice,
     characteristic,
@@ -222,6 +223,12 @@ def test_kinds_match_naive_and_witnesses_replay(ir5, ag9, m2):
 def test_kind_violation_rejects_unknown_kind(ir5):
     with pytest.raises(InputError):
         kind_violation(ir5, FuzzySubset.ones(5), "prime")
+    # a product spelling, or a fixed-point key outside FIXED_POINTS, is no kind name
+    for name in ("SA", "A", "=S", "=SSA", "=", ""):
+        with pytest.raises(InputError):
+            CutKinds(ir5)(FuzzySubset.ones(5), (name,))
+        with pytest.raises(InputError):
+            kind_violation(ir5, FuzzySubset.ones(5), name)
 
 
 def test_classify_fuzzy_matches_single_kind_calls(ir5, ag9):
