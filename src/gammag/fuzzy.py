@@ -325,11 +325,15 @@ class Lattice:
     def count(self, order: int) -> int:
         return (self.den + 1) ** checked_int(order, "order", 1)
 
+    def subset(self, num) -> FuzzySubset:
+        """The subset with membership num[i] / den at element i."""
+        return FuzzySubset(tuple(Fraction(v, self.den) for v in num))
+
     def subsets(self, order: int):
         """All lattice-valued subsets, first element varying slowest."""
         checked_int(order, "order", 1)
-        for values in itertools.product(self.values(), repeat=order):
-            yield FuzzySubset(values)
+        for num in itertools.product(range(self.den + 1), repeat=order):
+            yield self.subset(num)
 
     def contains(self, f: FuzzySubset) -> bool:
         checked_instance(f, FuzzySubset)
@@ -346,4 +350,4 @@ def fuzzy_from_dict(d: dict, order: int | None = None) -> FuzzySubset:
         checked_int(n, "numerator", 0, den)
     if order is not None and len(num) != order:
         raise InputError(f"fuzzy subset has {len(num)} entries; structure order is {order}")
-    return FuzzySubset(tuple(Fraction(n, den) for n in num))
+    return Lattice(den).subset(num)

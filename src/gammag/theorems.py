@@ -5,11 +5,14 @@ pre-filters on the quantified fuzzy subsets, and a statement written in
 terms and kinds, compiled at import into a checker that either passes or
 returns a replayable violation. Quantification ranges over all
 lattice-valued subsets (exhaustive) or a seeded pseudo-random sample;
-both paths are deterministic for fixed inputs. A linear row (an identity
-of compositions with each variable once per side) whose exhaustive tuple
-space overflows the budget is decided on singleton tuples instead, which
-decide it at every lattice (see _singleton_decision). An exhaustive
-coincide row is decided on its subsets' level-cut chains (see _cut_walk).
+both paths are deterministic for fixed inputs. One walk, _grid_walk,
+reads the grid as numerator tuples, each with the kinds of its level-cut
+chain: pre-filtered pools and the two-sided family build only the
+subsets they keep, and a coincide row stops at its first disagreement.
+A linear row (an identity of compositions with each variable once per
+side) whose exhaustive tuple space overflows the budget is decided on
+singleton tuples instead, which decide it at every lattice (see
+_singleton_decision).
 """
 
 from __future__ import annotations
@@ -177,14 +180,6 @@ def _kind_failure(clause, subsets, derived, kind, w) -> Violation:
     )
 
 
-def _kind_check(clause, m, subsets, name, h, kind, held) -> Violation | None:
-    """None when h has kind, as the memo held answers; else the failure,
-    its witness built by kind_violation."""
-    if kind in held(h, (kind,)):
-        return None
-    return _kind_failure(clause, subsets, ((name, h),), kind, kind_violation(m, h, kind))
-
-
 def _family_failure(clause, subsets, derived=()) -> Violation:
     """Violation of a family-level statement: subsets only, no pointwise data."""
     return Violation(
@@ -213,7 +208,48 @@ def _count(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# family-level statements over the set of lattice-valued two-sided ideals
+# the lattice grid, walked as numerator tuples, and family-level statements
+# over its two-sided ideals
+
+
+def _grid_walk(m, lattice, keysets, held):
+    """Every numerator tuple of the lattice grid, in Lattice.subsets order,
+    with a mask whose bit i is set when the subset has all the CutKinds
+    keys of keysets[i] (an empty keyset is had by every subset).
+
+    A subset has a key exactly when each of its non-empty level cuts has
+    it (see fuzzy.CutKinds), so the mask ANDs, along the tuple's cut
+    chain, per-cut bits that a memo for this walk keeps per cut mask."""
+    every = (1 << len(keysets)) - 1
+    bits_of = {}
+    for num in itertools.product(range(lattice.den + 1), repeat=m.order):
+        mask = every
+        for cut in _level_cuts(num):
+            bits = bits_of.get(cut)
+            if bits is None:
+                products = held[cut]
+                bits = bits_of[cut] = sum(1 << i for i, keys in enumerate(keysets)
+                                          if all(products[k] for k in keys))
+            mask &= bits
+            if not mask:
+                break
+        yield num, mask
+
+
+def _grid_pools(m, lattice, held, filters) -> list[list[FuzzySubset]]:
+    """Each pre-filter's pool: the lattice subsets, in Lattice.subsets
+    order, with all the kinds of one of its alternatives. Equal filters
+    share one list, and only subsets some pool keeps are built, once."""
+    keysets = list(dict.fromkeys(itertools.chain(*filters)))
+    bits = {flt: sum(1 << keysets.index(kinds) for kinds in flt) for flt in filters}
+    pools = {flt: [] for flt in filters}
+    for num, mask in _grid_walk(m, lattice, keysets, held):
+        if mask:
+            f = lattice.subset(num)
+            for flt, flt_bits in bits.items():
+                if mask & flt_bits:
+                    pools[flt].append(f)
+    return [pools[flt] for flt in filters]
 
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -223,8 +259,7 @@ def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[Fuzzy
         raise CapacityError(
             f"family enumeration needs {_count(total)} lattice subsets; budget is {budget}"
         )
-    held = CutKinds(m)
-    return [f for f in lattice.subsets(m.order) if held(f, ("two_sided",))]
+    return _grid_pools(m, lattice, CutKinds(m), [(("two_sided",),)])[0]
 
 
 def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -522,14 +557,16 @@ def _equation(eq):
     return _render(lhs), _evaluator(lhs), _render(rhs), _evaluator(rhs)
 
 
-def _admits(held, tests, fs) -> bool:
-    """Whether each subset passes its position's kind test (None passes all);
-    held is a fuzzy.CutKinds engine, asked held(f, kinds)."""
-    return all(test is None or test(held, f) for test, f in zip(tests, fs))
+def _admits(held, filters, fs) -> bool:
+    """Whether each subset has all the kinds of some alternative of its
+    position's pre-filter (None admits every subset); held is a
+    fuzzy.CutKinds engine, asked held(f, kinds)."""
+    return all(flt is None or any(held(f, kinds) == set(kinds) for kinds in flt)
+               for flt, f in zip(filters, fs))
 
 
 def _conclusion(item):
-    """(guard: a kind test per variable or None, test returning the violation or None, equation closures or None)."""
+    """(guard: a pre-filter per variable or None, test returning the violation or None, equation closures or None)."""
     lhs, relation, rhs, *guard = item
     guard = tuple(map(_pre_filter, guard[0])) if guard else None
     if relation == "is":
@@ -537,7 +574,11 @@ def _conclusion(item):
         clause = f"{name} is {rhs}"
 
         def test(m, alg, fs, held):
-            return _kind_check(clause, m, fs, name, value(alg, fs), rhs, held)
+            # held decides the kind; kind_violation builds the witness only on a failure
+            h = value(alg, fs)
+            if rhs in held(h, (rhs,)):
+                return None
+            return _kind_failure(clause, fs, ((name, h),), rhs, kind_violation(m, h, rhs))
 
         return guard, test, None
     lname, lvalue, rname, rvalue = _equation(item[:3])
@@ -630,19 +671,11 @@ def _linear_sides(filters, items, sides):
     return None
 
 
-@cache
 def _pre_filter(spec):
-    """Membership test for one quantified position, one per spec; None for no filter."""
-    if not spec:
-        return None
-    alternatives = [set(alt.split("&")) for alt in spec.split("|")]
-    named = frozenset().union(*alternatives)
-
-    def test(held, f):
-        found = held(f, named)
-        return any(kinds <= found for kinds in alternatives)
-
-    return test
+    """One quantified position's pre-filter as its alternatives, each a
+    tuple of kinds, as "quasi&idempotent|left" gives (("quasi",
+    "idempotent"), ("left",)); None for no filter."""
+    return tuple(tuple(alt.split("&")) for alt in spec.split("|")) if spec else None
 
 
 @dataclass(frozen=True)
@@ -653,7 +686,7 @@ class TheoremEntry:
     arity: int  # 0 for a family row, whose check is called as check(m, family)
     check: Callable
     premise: Callable | None = None  # premise(held, *fs) for a guarded row, held(f, kinds) a kinds query
-    pre_filters: tuple | None = None
+    pre_filters: tuple | None = None  # per position, _pre_filter's alternatives or None
     linear: tuple | None = None  # (lhs, rhs) closures of each equation of a linear row
     conditions: tuple | None = None  # a coincide row's CutKinds keys, per condition
 
@@ -718,21 +751,6 @@ class Verdict:
         return d
 
 
-def _verdict(entry, status, lattice, mode, seed, requested, checked, failed=(), violation=None, detail=None):
-    return Verdict(
-        theorem_id=entry.theorem_id,
-        status=status,
-        lattice_den=lattice.den,
-        mode=mode,
-        seed=seed,
-        requested=requested,
-        checked=checked,
-        failed_hypotheses=tuple(failed),
-        violation=violation,
-        detail=detail,
-    )
-
-
 def _exhaustive_pools(m, entry, lattice, budget, held):
     """Each position's pre-filtered pool of lattice subsets; None where singletons decide the row.
 
@@ -744,10 +762,8 @@ def _exhaustive_pools(m, entry, lattice, budget, held):
     count = lattice.count(m.order)
     needed = count ** entry.arity
     if count <= budget and (needed <= budget or any(entry.pre_filters)):
-        pool = list(lattice.subsets(m.order))
-        # positions with one spec share its compiled test, so each pool is filtered once
-        filtered = {flt: [f for f in pool if flt(held, f)] for flt in set(entry.pre_filters) if flt}
-        pools = [filtered.get(flt, pool) for flt in entry.pre_filters]
+        # a position with no pre-filter asks the empty alternative, which every subset has
+        pools = _grid_pools(m, lattice, held, [flt or ((),) for flt in entry.pre_filters])
         needed = math.prod(map(len, pools))
         if needed <= budget:
             return pools
@@ -786,31 +802,14 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
 
 def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
     """Decide a coincide row on every lattice subset: (subsets checked,
-    first violation or None), as the subset walk would report them.
-
-    f meets a condition exactly when each of its non-empty level cuts
-    meets all of the condition's CutKinds keys (see fuzzy.CutKinds). So
-    the walk runs over numerator tuples in Lattice.subsets order, reads
-    each tuple's cut chain, and ANDs the per-cut condition flags, which a
-    memo for this walk keeps per cut mask. The subset is built, and the
-    row's check called for its witness, only at the first tuple where the
-    conditions disagree."""
+    first violation or None), as a loop over Lattice.subsets would report
+    them. The grid walk asks for each condition's keys; the subset is
+    built, and the row's check called for its witness, only at the first
+    tuple where the conditions disagree."""
     every = (1 << len(entry.conditions)) - 1
-    flags = {}  # cut mask -> bit i set when condition i holds on the cut
-    for checked, num in enumerate(itertools.product(range(lattice.den + 1), repeat=m.order), 1):
-        agree = every
-        for cut in _level_cuts(num):
-            bits = flags.get(cut)
-            if bits is None:
-                products = held[cut]
-                bits = flags[cut] = sum(1 << i for i, keys in enumerate(entry.conditions)
-                                        if all(products[k] for k in keys))
-            agree &= bits
-            if not agree:
-                break
-        if agree and agree != every:
-            f = FuzzySubset(tuple(Fraction(v, lattice.den) for v in num))
-            violation = entry.check(m, f, held=held)
+    for checked, (num, mask) in enumerate(_grid_walk(m, lattice, entry.conditions, held), 1):
+        if mask and mask != every:
+            violation = entry.check(m, lattice.subset(num), held=held)
             if violation is None:
                 raise AssertionError("the cut flags disagree but the row's check passes")
             return checked, violation
@@ -840,6 +839,37 @@ def _check_request(lattice, mode, seed, samples, budget) -> None:
     checked_int(budget, "budget", 1)
 
 
+def _decide(m, entry, lattice, mode, seed, samples, budget) -> tuple[str, int, Violation | None]:
+    """(mode, checked, first violation or None) for a row whose hypotheses m meets."""
+    if entry.family:
+        family = _audited_family(m, lattice, budget)
+        return mode, len(family), entry.check(m, family)
+    # every kind question of the call (pre-filters, guards, kind
+    # conclusions, coincide conditions) reads one memo keyed by cut mask
+    held = CutKinds(m)
+    if mode == "sampled":
+        tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget, held)
+    elif entry.conditions is not None and lattice.count(m.order) <= budget:
+        # a coincide row walks cut chains; past the budget it stops in _exhaustive_pools
+        return (mode, *_cut_walk(m, entry, lattice, held))
+    else:
+        pools = _exhaustive_pools(m, entry, lattice, budget, held)
+        if pools is None:
+            return ("singletons", *_singleton_decision(m, entry))
+        tuples = itertools.product(*pools)
+    if entry.premise is not None:
+        tuples = (fs for fs in tuples if entry.premise(held, *fs))
+    checked = 0
+    for checked, fs in enumerate(tuples, 1):
+        violation = entry.check(m, *fs, held=held)
+        if violation is not None:
+            return mode, checked, violation
+    if checked == 0 and mode == "sampled":
+        # no evidence either way: a capacity stop, not a vacuous holds
+        raise CapacityError(f"no sampled draw of {samples} passed the row's pre-filters and premise")
+    return mode, checked, None
+
+
 def verify(
     m: GammaMagma,
     theorem_id: str,
@@ -862,46 +892,11 @@ def verify(
     hyps = structure_hypotheses(m)
     failed = tuple(h for h in entry.hypotheses if not hyps[h])
     if failed:
-        return _verdict(entry, "hypothesis_not_met", lattice, mode, seed, samples, 0, failed=failed)
-
-    if entry.family:
-        family = _audited_family(m, lattice, budget)
-        violation = entry.check(m, family)
-        status = "holds" if violation is None else "counterexample"
-        return _verdict(entry, status, lattice, mode, seed, samples, len(family), violation=violation)
-
-    # every kind question of the call (pre-filters, guards, kind
-    # conclusions, coincide conditions) reads one memo keyed by cut mask
-    held = CutKinds(m)
-    if mode == "exhaustive":
-        # a coincide row walks cut chains; past the budget it stops in _exhaustive_pools
-        if entry.conditions is not None and lattice.count(m.order) <= budget:
-            checked, violation = _cut_walk(m, entry, lattice, held)
-            status = "holds" if violation is None else "counterexample"
-            return _verdict(entry, status, lattice, mode, seed, samples, checked, violation=violation)
-        pools = _exhaustive_pools(m, entry, lattice, budget, held)
-        if pools is None:
-            checked, violation = _singleton_decision(m, entry)
-            status = "holds" if violation is None else "counterexample"
-            return _verdict(entry, status, lattice, "singletons", seed, samples, checked, violation=violation)
-        tuples = itertools.product(*pools)
+        status, checked, violation = "hypothesis_not_met", 0, None
     else:
-        tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget, held)
-    check, premise = partial(entry.check, held=held), entry.premise
-    if premise is not None:
-        premise = partial(premise, held)
-    checked = 0
-    for fs in tuples:
-        if premise is not None and not premise(*fs):
-            continue
-        checked += 1
-        violation = check(m, *fs)
-        if violation is not None:
-            return _verdict(entry, "counterexample", lattice, mode, seed, samples, checked, violation=violation)
-    if checked == 0 and mode == "sampled":
-        # no evidence either way: a capacity stop, not a vacuous holds
-        raise CapacityError(f"no sampled draw of {samples} passed the row's pre-filters and premise")
-    return _verdict(entry, "holds", lattice, mode, seed, samples, checked)
+        mode, checked, violation = _decide(m, entry, lattice, mode, seed, samples, budget)
+        status = "holds" if violation is None else "counterexample"
+    return Verdict(theorem_id, status, lattice.den, mode, seed, samples, checked, failed, violation)
 
 
 def _verify_task(args):
@@ -909,10 +904,8 @@ def _verify_task(args):
     try:
         return theorem_id, verify(m, theorem_id, lattice, mode, seed, samples, budget)
     except CapacityError as exc:
-        entry = REGISTRY[theorem_id]
-        return theorem_id, _verdict(
-            entry, "capacity_error", lattice, mode, seed, samples, 0, detail=str(exc)
-        )
+        detail = str(exc)
+        return theorem_id, Verdict(theorem_id, "capacity_error", lattice.den, mode, seed, samples, 0, (), None, detail)
 
 
 def _worker_count(jobs: int) -> int:

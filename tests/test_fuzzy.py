@@ -282,6 +282,7 @@ def test_lattice_subsets_enumeration_order():
     got = [f.values for f in Lattice(1).subsets(2)]
     z, o = Fraction(0), Fraction(1)
     assert got == [(z, z), (z, o), (o, z), (o, o)]
+    assert Lattice(4).subset((4, 2, 0)).values == (o, Fraction(1, 2), z)
     with pytest.raises(InputError):
         list(Lattice(1).subsets(0))
 

@@ -272,6 +272,54 @@ def test_prefilter_and_guard_kinds_decided_once_per_verify(monkeypatch, ir5, tid
     assert decided and len(decided) == len(set(decided))
 
 
+def _registry_filters():
+    """Every distinct pre-filter and guard spec of the registry, as _pre_filter reads it."""
+    specs = {spec for row in theorems._ROWS for spec in row[3]}
+    specs |= {spec for row in theorems._ROWS if row[4] == "holds"
+              for item in row[5] for guard in item[3:] for spec in guard}
+    return [theorems._pre_filter(spec) for spec in sorted(specs) if spec]
+
+
+def test_grid_pools_match_a_filter_over_lattice_subsets(ir5, ag9, li_models_small):
+    # one walk of the grid fills every registry pool, the two-sided
+    # family's and the empty alternative's (every subset), each in
+    # Lattice.subsets order and equal to a naive filter of the subsets
+    filters = _registry_filters() + [(("two_sided",),), ((),)]
+    assert filters[:5] == [(("left",),), (("left",), ("right",)), (("quasi",),), (("quasi", "idempotent"),),
+                           (("right",),)]
+    kinds = {k for flt in filters for alt in flt for k in alt}
+    cases = [(ir5, 1), (ir5, 2), (ag9, 1)] + [(m, den) for m in li_models_small for den in (1, 2, 3)]
+    for m, den in cases:
+        lattice = Lattice(den)
+        pools = theorems._grid_pools(m, lattice, fuzzy.CutKinds(m), filters)
+        subsets = list(lattice.subsets(m.order))
+        has = [{k for k in kinds if oracles.naive_fuzzy_kind(m, f.values, k)} for f in subsets]
+        for flt, pool in zip(filters, pools):
+            want = [f for f, found in zip(subsets, has) if any(found.issuperset(alt) for alt in flt)]
+            assert pool == want, (m.tables, den, flt)
+        assert pools[-1] == subsets
+
+
+def test_pools_and_family_build_only_the_subsets_they_keep(monkeypatch, ir5):
+    # the den-3 grid of ir5 has 4**5 = 1,024 points: sf builds a subset for
+    # each member of its left pool and for each ones*f its check composes,
+    # and the family one for each member, none for the rest of the grid
+    built = []
+    post_init = FuzzySubset.__post_init__
+
+    def counted(self):
+        built.append(self.values)
+        post_init(self)
+
+    monkeypatch.setattr(FuzzySubset, "__post_init__", counted)
+    verdict = verify(ir5, "sf", Lattice(3))
+    assert (verdict.status, verdict.checked) == ("holds", 20)
+    assert len(built) <= 2 * 20 + 1
+    built.clear()
+    family = two_sided_family(ir5, Lattice(3), DEFAULT_TUPLE_BUDGET)
+    assert len(built) == len(family) == 20
+
+
 def test_shared_cut_memo_answers_as_a_fresh_engine(ir5, m2):
     for m, den in ((ir5, 2), (m2, 3)):
         held = fuzzy.CutKinds(m)
@@ -671,17 +719,18 @@ def test_sample_subset_refuses_den_past_one_digest():
 # two-sided families and the semilattice report
 
 
-def test_two_sided_family_matches_naive(ir5):
-    for den, size in ((1, 4), (2, 10)):
+def test_two_sided_family_matches_naive(ir5, li_models_small):
+    cases = [(ir5, 1, 4), (ir5, 2, 10)] + [(m, den, None) for m in li_models_small for den in (1, 2, 3)]
+    for m, den, size in cases:
         lat = Lattice(den)
-        family = two_sided_family(ir5, lat, DEFAULT_TUPLE_BUDGET)
-        assert len(family) == size
+        family = two_sided_family(m, lat, DEFAULT_TUPLE_BUDGET)
+        assert size is None or len(family) == size
         want = [
             f.values
-            for f in lat.subsets(5)
-            if oracles.naive_fuzzy_kind(ir5, f.values, "two_sided")
+            for f in lat.subsets(m.order)
+            if oracles.naive_fuzzy_kind(m, f.values, "two_sided")
         ]
-        assert [f.values for f in family] == want
+        assert [f.values for f in family] == want, (m.tables, den)
 
 
 def test_semilattice_report_frozen(ir5):
