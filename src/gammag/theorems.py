@@ -2,13 +2,15 @@
 
 Each registry row binds a stable string id to structure hypotheses,
 pre-filters on the quantified fuzzy subsets, and a statement written in
-terms and kinds, compiled at import into a checker that either passes or
-returns a replayable violation. Quantification ranges over all
-lattice-valued subsets (exhaustive) or a seeded pseudo-random sample;
-both paths are deterministic for fixed inputs. One walk, _grid_walk,
-reads the grid as numerator tuples, each with the kinds of its level-cut
-chain: pre-filtered pools and the two-sided family build only the
-subsets they keep, and a coincide row stops at its first disagreement.
+terms, kinds and crisp.FIXED_POINTS keys, compiled at import into a
+checker that either passes or returns a replayable violation, each built
+by _failure. Quantification ranges over all lattice-valued subsets
+(exhaustive) or a seeded pseudo-random sample; both paths are
+deterministic for fixed inputs, and _charge stops either one whose work
+would pass the tuple budget. One walk, _grid_walk, reads the grid as
+numerator tuples, each with the kinds of its level-cut chain:
+pre-filtered pools and the two-sided family build only the subsets they
+keep, and a coincide row stops at its first disagreement.
 A linear row (an identity of compositions with each variable once per
 side) whose exhaustive tuple space overflows the budget is decided on
 singleton tuples instead, which decide it at every lattice (see
@@ -38,11 +40,13 @@ from .core import (
     checked_name,
     checked_structure,
 )
-from .crisp import CrispSubset, _mask_product, is_intra_regular
+from .crisp import CrispSubset, _mask_product, is_intra_regular, shape_product
 from .fuzzy import (
     CutKinds,
     FuzzySubset,
+    KindWitness,
     Lattice,
+    _first_failure,
     _level_cuts,
     characteristic,
     gamma_product,
@@ -147,51 +151,17 @@ class Violation:
         }
 
 
+def _failure(clause, subsets, derived, w=KindWitness((), (), "geq", Fraction(0), Fraction(0)), **extra) -> Violation:
+    """Violation of clause carrying the pointwise failure w (a family
+    statement has none) and extra, the sides' vectors or the failed kind."""
+    return Violation(clause, tuple(subsets), tuple(derived), *w, **extra)
+
+
 def _eq_check(clause, subsets, lhs_name, lhs, rhs_name, rhs) -> Violation | None:
     if lhs == rhs:
         return None
-    a = next(i for i, (u, v) in enumerate(zip(lhs.values, rhs.values)) if u != v)
-    return Violation(
-        clause=clause,
-        subsets=tuple(subsets),
-        derived=((lhs_name, lhs), (rhs_name, rhs)),
-        elements=(a,),
-        labels=(),
-        relation="eq",
-        lhs=lhs.values[a],
-        rhs=rhs.values[a],
-        lhs_vector=lhs,
-        rhs_vector=rhs,
-    )
-
-
-def _kind_failure(clause, subsets, derived, kind, w) -> Violation:
-    """Violation carrying the pointwise failure w of the named kind."""
-    return Violation(
-        clause=clause,
-        subsets=tuple(subsets),
-        derived=tuple(derived),
-        elements=w.elements,
-        labels=w.labels,
-        relation=w.relation,
-        lhs=w.lhs,
-        rhs=w.rhs,
-        kind=kind,
-    )
-
-
-def _family_failure(clause, subsets, derived=()) -> Violation:
-    """Violation of a family-level statement: subsets only, no pointwise data."""
-    return Violation(
-        clause=clause,
-        subsets=tuple(subsets),
-        derived=tuple(derived),
-        elements=(),
-        labels=(),
-        relation="geq",
-        lhs=Fraction(0),
-        rhs=Fraction(0),
-    )
+    return _failure(clause, subsets, ((lhs_name, lhs), (rhs_name, rhs)), _first_failure("eq", lhs, rhs),
+                    lhs_vector=lhs, rhs_vector=rhs)
 
 
 @cache
@@ -199,12 +169,16 @@ def _ones(order: int) -> FuzzySubset:
     return FuzzySubset.ones(order)
 
 
-def _count(n: int) -> str:
-    """n in decimal, or a power-of-two bound on it where decimal text would pass Python's digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2**{n.bit_length() - 1}"
+def _charge(needed: int, budget: int, work: str, unit: str) -> None:
+    """Stop with "<work> needs N <unit>; budget is B" when needed is over
+    the budget; N is a power-of-two bound where decimal text would pass
+    Python's digit limit."""
+    if needed > budget:
+        try:
+            count = str(needed)
+        except ValueError:
+            count = f"at least 2**{needed.bit_length() - 1}"
+        raise CapacityError(f"{work} needs {count} {unit}; budget is {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +229,14 @@ def _grid_pools(m, lattice, held, filters) -> list[list[FuzzySubset]]:
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
     checked_int(budget, "budget", 1)
     total = checked_instance(lattice, Lattice).count(checked_structure(m).order)
-    if total > budget:
-        raise CapacityError(
-            f"family enumeration needs {_count(total)} lattice subsets; budget is {budget}"
-        )
+    _charge(total, budget, "family enumeration", "lattice subsets")
     return _grid_pools(m, lattice, CutKinds(m), [(("two_sided",),)])[0]
 
 
 def _audited_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
     """The two-sided family, once its triple audit is known to fit the budget."""
     family = two_sided_family(m, lattice, budget)
-    if len(family) ** 3 > budget:
-        raise CapacityError(
-            f"family of {len(family)} ideals needs {len(family) ** 3} triple checks; budget is {budget}"
-        )
+    _charge(len(family) ** 3, budget, f"family of {len(family)} ideals", "triple checks")
     return family
 
 
@@ -279,7 +247,7 @@ def _closure_violation(m, f, g, fg):
     w = kind_violation(m, fg, "two_sided")
     if w is None:
         raise AssertionError("product is two sided but missing from the family")
-    return _kind_failure("closure: f*g is not a two sided ideal", (f, g), (("f*g", fg),), "two_sided", w)
+    return _failure("closure: f*g is not a two sided ideal", (f, g), (("f*g", fg),), w, kind="two_sided")
 
 
 class _FamilyTables:
@@ -379,11 +347,9 @@ def _family_irr_iff_prime(m, family):
             continue
         if irr is None:
             g, h = prime
-            return _family_failure(
-                "strongly irreducible but not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),)
-            )
+            return _failure("strongly irreducible but not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),))
         g, h = irr
-        return _family_failure("prime but not strongly irreducible", (f, g, h), (("g^h", meet(g, h)),))
+        return _failure("prime but not strongly irreducible", (f, g, h), (("g^h", meet(g, h)),))
     return None
 
 
@@ -403,11 +369,9 @@ def _family_all_prime_iff_chain(m, family):
     if (not_prime is None) == (incomparable is None):
         return None
     if not_prime is None:
-        return _family_failure("every ideal prime but family is not a chain", incomparable)
+        return _failure("every ideal prime but family is not a chain", incomparable, ())
     f, g, h = not_prime
-    return _family_failure(
-        "family is a chain but some ideal is not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),)
-    )
+    return _failure("family is a chain but some ideal is not prime", (f, g, h), (("g*h", gamma_product(m, g, h)),))
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +380,19 @@ def _family_all_prime_iff_chain(m, family):
 # One row per statement: (id, summary, hypotheses, pre-filters, shape,
 # items). A term is a variable f, g, h or k, the all-ones subset "ones",
 # or (op, left, right) with op "*" (composition) or "^" (meet); an
-# equation is (lhs, "==", rhs). A pre-filter names the kinds a quantified
-# position is drawn from, all of the kinds joined by "&", any one of the
-# alternatives joined by "|"; "" or no pre-filters at all draws from every
-# subset. Shape "holds" lists conclusions, equations or (term, "is",
-# kind), and reports the first that fails; a conclusion may end with a
-# guard, one kind per variable, and is then checked only where its guard
-# holds, so a tuple counts as checked when some guard holds. Shape
-# "coincide" lists conditions on f, each a kind or a (name, equations)
-# group, and fails when some hold and others do not, setting the first
-# that holds against the first that fails. Shape "family" names a check of
-# the two-sided family, called as check(m, family).
+# equation is (lhs, "==", rhs), and _fixed_point spells the equation of a
+# crisp.FIXED_POINTS key ("=SA" is ones*f == f). A pre-filter names the
+# kinds a quantified position is drawn from, all of the kinds joined by
+# "&", any one of the alternatives joined by "|"; "" or no pre-filters at
+# all draws from every subset. Shape "holds" lists conclusions, equations
+# or (term, "is", kind), and reports the first that fails; a conclusion
+# may end with a guard, one kind per variable, and is then checked only
+# where its guard holds, so a tuple counts as checked when some guard
+# holds. Shape "coincide" lists conditions on f, each a kind or a (name,
+# keys) group of fixed-point keys, and fails when some hold and others do
+# not, setting the first that holds against the first that fails. Shape
+# "family" names a check of the two-sided family, called as
+# check(m, family).
 
 _VARIABLES = "fghk"
 
@@ -442,8 +408,11 @@ def _law(name):
     return (term(lhs), "==", term(rhs))
 
 
-_ONES_F = ("*", "ones", "f")
-_F_ONES = ("*", "f", "ones")
+def _fixed_point(key):
+    """A crisp.FIXED_POINTS key as its equation, f for A and ones for S: "=SAS" is (ones*f)*ones == f."""
+    return (shape_product(lambda x, y: ("*", x, y), key[1:], "f", "ones"), "==", "f")
+
+
 _FG = ("*", "f", "g")
 _F_CAP_G = ("^", "f", "g")
 _GAMMA_AG = ("gamma_ag",)
@@ -453,9 +422,9 @@ _INTRA_AGSS = ("gamma_ag", "ag_star_star", "intra_regular")
 
 _ROWS = (
     ("sf", "composing the all-ones subset onto a left-stable subset returns it unchanged",
-     _GAMMA_AG, ("left",), "holds", [(_ONES_F, "==", "f")]),
+     _GAMMA_AG, ("left",), "holds", [_fixed_point("=SA")]),
     ("sf_factorizable", "same statement as sf, gated on every element having a factorization",
-     ("gamma_ag", "every_element_factorizable"), ("left",), "holds", [(_ONES_F, "==", "f")]),
+     ("gamma_ag", "every_element_factorizable"), ("left",), "holds", [_fixed_point("=SA")]),
     ("trm_i", "composition satisfies the invertive law",
      _GAMMA_AG, (), "holds", [_law("left_invertive")]),
     ("trm_ii", "composition satisfies the medial law",
@@ -483,7 +452,7 @@ _ROWS = (
     ("llb", "right stability and left stability coincide",
      _INTRA, (), "coincide", ["right", "left"]),
     ("left_idem", "left-stable subsets are idempotent under composition",
-     _INTRA_AGSS, ("left",), "holds", [(("*", "f", "f"), "==", "f")]),
+     _INTRA_AGSS, ("left",), "holds", [_fixed_point("=AA")]),
     ("cap_eq_prod", "meet equals composition for right-stable against left-stable subsets",
      _INTRA_AGSS, ("right", "left"), "holds", [(_F_CAP_G, "==", _FG)]),
     ("semi1", "two-sided-stable subsets form a commutative idempotent semigroup with the all-ones identity",
@@ -502,16 +471,16 @@ _ROWS = (
      _INTRA_AGSS, (), "coincide", ["two_sided", "bi"]),
     ("bi_fixedpoint", "the bi condition coincides with the two fixed point equations",
      _INTRA_AGSS, (), "coincide",
-     ["bi", ("fixed point equations", [(("*", _F_ONES, "f"), "==", "f"), (("*", "f", "f"), "==", "f")])]),
+     ["bi", ("fixed point equations", ("=ASA", "=AA"))]),
     ("interior_fixedpoint", "the interior condition coincides with its fixed point equation",
      _INTRA_AGSS, (), "coincide",
-     ["interior", ("(ones*f)*ones == f", [(("*", _ONES_F, "ones"), "==", "f")])]),
+     ["interior", ("(ones*f)*ones == f", ("=SAS",))]),
     ("l145", "left-stable subsets absorb the all-ones subset on both sides",
-     _INTRA_AGSS, ("left",), "holds", [(_ONES_F, "==", "f"), (_F_ONES, "==", "f")]),
+     _INTRA_AGSS, ("left",), "holds", [_fixed_point("=SA"), _fixed_point("=AS")]),
     ("grand_equiv", "the seven stability kinds and the absorption equations all coincide",
      _INTRA_AGSS, (), "coincide",
      ["left", "right", "two_sided", "bi", "generalized_bi", "interior", "quasi",
-      ("ones*f == f == f*ones", [(_ONES_F, "==", "f"), (_F_ONES, "==", "f")])]),
+      ("ones*f == f == f*ones", ("=SA", "=AS"))]),
 )
 
 
@@ -578,7 +547,7 @@ def _conclusion(item):
             h = value(alg, fs)
             if rhs in held(h, (rhs,)):
                 return None
-            return _kind_failure(clause, fs, ((name, h),), rhs, kind_violation(m, h, rhs))
+            return _failure(clause, fs, ((name, h),), kind_violation(m, h, rhs), kind=rhs)
 
         return guard, test, None
     lname, lvalue, rname, rvalue = _equation(item[:3])
@@ -613,25 +582,15 @@ def _holds(conclusions):
     return check, premise, [sides for _, _, sides in steps]
 
 
-# each equation a coincide row states, as the CutKinds fixed-point key deciding it
-_FIXED_POINT_KEYS = {
-    "ones*f == f": "=SA",
-    "f*ones == f": "=AS",
-    "(ones*f)*ones == f": "=SAS",
-    "(f*ones)*f == f": "=ASA",
-    "f*f == f": "=AA",
-}
-
-
 def _coincide(conditions):
     """Checker for a "coincide" row, and each condition's CutKinds keys: a
-    kind is its own key, and an equation group one fixed-point key per
-    equation. Every condition is decided on held, the caller's CutKinds
-    memo or a new one, and the first that holds is set against the first
-    that fails; only then are the equations evaluated, for the witness."""
-    parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(eq) for eq in c[1]]) for c in conditions]
-    keys = tuple((name,) if eqs is None else tuple(_FIXED_POINT_KEYS[f"{ln} == {rn}"] for ln, _, rn, _ in eqs)
-                 for name, eqs in parts)
+    kind is its own key, and a group its fixed-point keys. Every condition
+    is decided on held, the caller's CutKinds memo or a new one, and the
+    first that holds is set against the first that fails; only then are
+    the keys' equations evaluated, for the witness."""
+    parts = [(c, None) if isinstance(c, str) else (c[0], [_equation(_fixed_point(k)) for k in c[1]])
+             for c in conditions]
+    keys = tuple((c,) if isinstance(c, str) else c[1] for c in conditions)
     asked = frozenset().union(*keys)
 
     def check(m, *fs, held=None):
@@ -646,7 +605,7 @@ def _coincide(conditions):
         if false_eqs is None:
             derived = (("f", f),) if true_eqs is None else [(ln, lv(alg, fs)) for ln, lv, _, _ in true_eqs]
             w = kind_violation(m, f, false_name)
-            return _kind_failure(f"{true_name} but not {false_name}", fs, derived, false_name, w)
+            return _failure(f"{true_name} but not {false_name}", fs, derived, w, kind=false_name)
         for ln, lv, rn, rv in false_eqs:
             lhs, rhs = lv(alg, fs), rv(alg, fs)
             if lhs != rhs:
@@ -696,19 +655,17 @@ class TheoremEntry:
 
 
 def _entry(theorem_id, summary, hypotheses, filters, shape, items) -> TheoremEntry:
-    """Compile one row; the arity is the number of variables the row uses."""
+    """Compile one row; the arity is the number of variables the row uses,
+    f alone in a coincide row."""
     if shape == "family":
         return TheoremEntry(theorem_id, summary, hypotheses, 0, items)
-    conditions = None
     if shape == "holds":
         check, premise, sides = _holds(items)
-        linear = _linear_sides(filters, items, sides)
+        linear, conditions = _linear_sides(filters, items, sides), None
         terms = [t for lhs, rel, rhs, *_ in items for t in ((lhs, rhs) if rel == "==" else (lhs,))]
+        arity = 1 + max(_VARIABLES.index(s) for t in terms for s in _symbols(t) if s in _VARIABLES)
     else:
-        (check, conditions), premise, linear = _coincide(items), None, None
-        groups = [c[1] for c in items if not isinstance(c, str)]
-        terms = ["f"] + [t for equations in groups for lhs, _, rhs in equations for t in (lhs, rhs)]
-    arity = 1 + max(_VARIABLES.index(s) for t in terms for s in _symbols(t) if s in _VARIABLES)
+        (check, conditions), premise, linear, arity = _coincide(items), None, None, 1
     pre_filters = tuple(_pre_filter(spec) for spec in filters or ("",) * arity)
     return TheoremEntry(theorem_id, summary, hypotheses, arity, check, premise, pre_filters, linear, conditions)
 
@@ -761,15 +718,14 @@ def _exhaustive_pools(m, entry, lattice, budget, held):
     """
     count = lattice.count(m.order)
     needed = count ** entry.arity
+    if needed > budget and entry.linear is not None and m.order ** entry.arity <= budget:
+        return None
     if count <= budget and (needed <= budget or any(entry.pre_filters)):
         # a position with no pre-filter asks the empty alternative, which every subset has
         pools = _grid_pools(m, lattice, held, [flt or ((),) for flt in entry.pre_filters])
         needed = math.prod(map(len, pools))
-        if needed <= budget:
-            return pools
-    elif entry.linear is not None and m.order ** entry.arity <= budget:
-        return None
-    raise CapacityError(f"exhaustive check needs {_count(needed)} tuples; budget is {budget}")
+    _charge(needed, budget, "exhaustive check", "tuples")  # needed is past the budget where no pools were built
+    return pools
 
 
 def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
@@ -818,8 +774,7 @@ def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
 
 def _sampled_tuples(m, entry, lattice, seed, samples, budget, held):
     """The seeded draws, in counter order, that pass every pre-filter."""
-    if samples * entry.arity > budget:
-        raise CapacityError(f"sampling needs {_count(samples * entry.arity)} draws; budget is {budget}")
+    _charge(samples * entry.arity, budget, "sampling", "draws")
     for i in range(samples):
         fs = tuple(
             sample_subset(seed, i * entry.arity + j, m.order, lattice.den)
@@ -849,8 +804,9 @@ def _decide(m, entry, lattice, mode, seed, samples, budget) -> tuple[str, int, V
     held = CutKinds(m)
     if mode == "sampled":
         tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget, held)
-    elif entry.conditions is not None and lattice.count(m.order) <= budget:
-        # a coincide row walks cut chains; past the budget it stops in _exhaustive_pools
+    elif entry.conditions is not None:
+        # a coincide row walks cut chains, one tuple per lattice subset
+        _charge(lattice.count(m.order), budget, "exhaustive check", "tuples")
         return (mode, *_cut_walk(m, entry, lattice, held))
     else:
         pools = _exhaustive_pools(m, entry, lattice, budget, held)

@@ -258,11 +258,21 @@ def test_verify_counterexample_exit(capsys, m2_file):
 
 def test_verify_capacity_exit(capsys):
     code, out, err = run(capsys, "verify", "ir5", "--theorem", "trm_ii", "--budget", "100")
-    assert code == 3 and out == "" and "capacity" in err
-    assert "exhaustive check needs 1048576 tuples; budget is 100" in err
+    assert (code, out, err) == (3, "", "capacity: exhaustive check needs 1048576 tuples; budget is 100\n")
     # a family row: 165 two-sided ideals at den 8 need 165**3 triple checks
     code, out, err = run(capsys, "verify", "ir5", "--theorem", "semi1", "--lattice", "8")
-    assert code == 3 and out == "" and "capacity" in err
+    assert (code, out, err) == (3, "", "capacity: family of 165 ideals needs 4492125 triple checks; budget is 1000000\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    # a coincide row's walk of the 3**5 lattice subsets
+    (("llb", "--lattice", "2", "--budget", "5"), "exhaustive check needs 243 tuples; budget is 5"),
+    (("trm_i", "--mode", "sampled:1:400000"), "sampling needs 1200000 draws; budget is 1000000"),
+    (("semi1", "--lattice", "3", "--budget", "100"), "family enumeration needs 1024 lattice subsets; budget is 100"),
+])
+def test_verify_capacity_messages_pinned(capsys, args, message):
+    code, out, err = run(capsys, "verify", "ir5", "--theorem", *args)
+    assert (code, out, err) == (3, "", f"capacity: {message}\n")
 
 
 def test_verify_counts_past_the_digit_limit_are_capacity_stops(capsys):

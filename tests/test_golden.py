@@ -9,10 +9,11 @@ fixed set of outputs, exhaustively enumerated or drawn with a fixed seed.
 import hashlib
 import itertools
 import random
+import re
 
 import oracles
 from gammag import theorems
-from gammag.core import LAW_TERMS, GammaMagma, canonical_json, check_laws
+from gammag.core import LAW_TERMS, CapacityError, GammaMagma, canonical_json, check_laws
 from gammag.finder import ISO_MODES, SearchBudgetError, SearchSpec, enumerate_models
 from gammag.fuzzy import FUZZY_KINDS, Lattice, kind_violation
 from gammag.theorems import DEFAULT_TUPLE_BUDGET, REGISTRY, sample_subset, two_sided_family
@@ -183,3 +184,43 @@ def test_finder_search_pinned():
         for budget in (200, 3_000)
     ]
     assert _digest(rows) == "1b4f721564eaafc99cfee134a36c43b5ddc1d89011367362ce4cb46f47212fd3"
+
+
+
+def _decide_row(m, entry, lattice, mode, budget):
+    """One row's outcome with its hypotheses bypassed: the mode, the count
+    checked and the witness, or the capacity stop's message."""
+    try:
+        mode, checked, v = theorems._decide(m, entry, lattice, mode, 5, 16, budget)
+    except CapacityError as exc:
+        return ["capacity", str(exc)]
+    return [mode, checked, None if v is None else v.to_dict()]
+
+
+def test_decided_witness_payloads_pinned():
+    # every row on seeded random tables, hypotheses or not, so that each
+    # violation shape is reached: an equation with its two vectors, a kind
+    # witness, and a family witness with no point; a budget of 60 turns
+    # tuple spaces, samples, family enumerations and triple audits into
+    # capacity stops
+    rows, shapes, stops = [], set(), set()
+    for m in _random_tables(20, seed=20260):
+        for den, mode, budget in itertools.product((1, 2), ("exhaustive", "sampled"), (60, 1000)):
+            for tid, entry in REGISTRY.items():
+                row = _decide_row(m, entry, Lattice(den), mode, budget)
+                rows.append([tid, den, budget, row])
+                w = row[-1]
+                if row[0] == "capacity":
+                    stops.add(re.sub(r"\d+", "N", w))
+                elif w is not None:
+                    shapes.add("vectors" if w["lhs_vector"] else "kind" if w["kind"] else
+                               "point" if w["elements"] else "family")
+    assert shapes == {"vectors", "kind", "family"}
+    assert stops == {
+        "exhaustive check needs N tuples; budget is N",
+        "sampling needs N draws; budget is N",
+        "family enumeration needs N lattice subsets; budget is N",
+        "family of N ideals needs N triple checks; budget is N",
+        "no sampled draw of N passed the row's pre-filters and premise",
+    }
+    assert _digest(rows) == "d00bb61b63bf00449293b1283396edf25c34be354a657e14d05b64887c75d8a3"

@@ -8,7 +8,7 @@ import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
 from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, leq, meet
 from gammag import fuzzy, theorems
-from gammag.crisp import KindProducts
+from gammag.crisp import FIXED_POINTS, KindProducts
 from gammag.theorems import (
     DEFAULT_TUPLE_BUDGET,
     HYPOTHESIS_NAMES,
@@ -75,7 +75,8 @@ def test_registry_order_is_frozen():
 
 
 def _row_terms_and_kinds(row):
-    """Every term and every kind a registry row names."""
+    """Every term and every kind a registry row names; a coincide group's
+    keys must be crisp.FIXED_POINTS keys."""
     _, _, _, filters, shape, items = row
     kinds = {k for spec in filters for alt in spec.split("|") for k in alt.split("&") if k}
     terms = []
@@ -86,7 +87,7 @@ def _row_terms_and_kinds(row):
             if isinstance(item, str):
                 kinds.add(item)
             else:
-                terms += [t for lhs, _, rhs in item[1] for t in (lhs, rhs)]
+                assert item[1] and set(item[1]) <= set(FIXED_POINTS), row[0]
             continue
         lhs, rel, rhs, *guard = item
         if rel == "is":
@@ -611,19 +612,20 @@ def test_linear_row_over_budget_decided_on_singletons(ir5, m2):
 _COINCIDE_ROWS = [row for row in theorems._ROWS if row[4] == "coincide"]
 
 
-def _naive_term(m, term, fv):
-    if term == "f":
-        return tuple(fv)
-    if term == "ones":
-        return (Fraction(1),) * m.order
-    _, left, right = term
-    return oracles.naive_gamma_product(m, _naive_term(m, left, fv), _naive_term(m, right, fv))
+def _naive_fixed_point(m, key, fv):
+    """Whether the key's product, its letters folded to the left with A
+    for f and S for the all-ones subset, equals f."""
+    letter = {"A": tuple(fv), "S": (Fraction(1),) * m.order}
+    out = letter[key[1]]
+    for c in key[2:]:
+        out = oracles.naive_gamma_product(m, out, letter[c])
+    return out == tuple(fv)
 
 
 def _naive_condition(m, condition, fv):
     if isinstance(condition, str):
         return oracles.naive_fuzzy_kind(m, fv, condition)
-    return all(_naive_term(m, lhs, fv) == _naive_term(m, rhs, fv) for lhs, _, rhs in condition[1])
+    return all(_naive_fixed_point(m, key, fv) for key in condition[1])
 
 
 def _naive_coincide(m, conditions, lattice):
