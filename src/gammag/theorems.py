@@ -7,10 +7,9 @@ checker that either passes or returns a replayable violation, each built
 by _failure. Quantification ranges over all lattice-valued subsets
 (exhaustive) or a seeded pseudo-random sample; both paths are
 deterministic for fixed inputs, and _charge stops either one whose work
-would pass the tuple budget. One walk, _grid_walk, reads the grid as
-numerator tuples, each with the kinds of its level-cut chain:
-pre-filtered pools and the two-sided family build only the subsets they
-keep, and a coincide row stops at its first disagreement.
+would pass the tuple budget. Kinds are decided on crisp masks, the level
+cuts: pre-filtered pools and the two-sided family are the cut chains of
+crisp families, and coincide rows are decided on the 0/1 subsets.
 A linear row (an identity of compositions with each variable once per
 side) whose exhaustive tuple space overflows the budget is decided on
 singleton tuples instead, which decide it at every lattice (see
@@ -47,7 +46,6 @@ from .fuzzy import (
     KindWitness,
     Lattice,
     _first_failure,
-    _level_cuts,
     characteristic,
     gamma_product,
     kind_violation,
@@ -182,48 +180,44 @@ def _charge(needed: int, budget: int, work: str, unit: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the lattice grid, walked as numerator tuples, and family-level statements
-# over its two-sided ideals
+# lattice subsets with given kinds, read off crisp masks, and family-level
+# statements over the two-sided ideals
 
 
-def _grid_walk(m, lattice, keysets, held):
-    """Every numerator tuple of the lattice grid, in Lattice.subsets order,
-    with a mask whose bit i is set when the subset has all the CutKinds
-    keys of keysets[i] (an empty keyset is had by every subset).
-
-    A subset has a key exactly when each of its non-empty level cuts has
-    it (see fuzzy.CutKinds), so the mask ANDs, along the tuple's cut
-    chain, per-cut bits that a memo for this walk keeps per cut mask."""
-    every = (1 << len(keysets)) - 1
-    bits_of = {}
-    for num in itertools.product(range(lattice.den + 1), repeat=m.order):
-        mask = every
-        for cut in _level_cuts(num):
-            bits = bits_of.get(cut)
-            if bits is None:
-                products = held[cut]
-                bits = bits_of[cut] = sum(1 << i for i, keys in enumerate(keysets)
-                                          if all(products[k] for k in keys))
-            mask &= bits
-            if not mask:
-                break
-        yield num, mask
+def _zero_one_tuples(order, den) -> list[tuple[int, int]]:
+    """The subsets with numerators 0 and 1, in Lattice.subsets order, as
+    (mask of the 1s, index in that order)."""
+    cuts = [(0, 0)]
+    for i in reversed(range(order)):
+        cuts += [(cut | 1 << i, r + (den + 1) ** (order - 1 - i)) for cut, r in cuts]
+    return cuts
 
 
 def _grid_pools(m, lattice, held, filters) -> list[list[FuzzySubset]]:
     """Each pre-filter's pool: the lattice subsets, in Lattice.subsets
-    order, with all the kinds of one of its alternatives. Equal filters
-    share one list, and only subsets some pool keeps are built, once."""
-    keysets = list(dict.fromkeys(itertools.chain(*filters)))
-    bits = {flt: sum(1 << keysets.index(kinds) for kinds in flt) for flt in filters}
-    pools = {flt: [] for flt in filters}
-    for num, mask in _grid_walk(m, lattice, keysets, held):
-        if mask:
-            f = lattice.subset(num)
-            for flt, flt_bits in bits.items():
-                if mask & flt_bits:
-                    pools[flt].append(f)
-    return [pools[flt] for flt in filters]
+    order, with all the kinds of one of its alternatives.
+
+    A subset has a keyset exactly when each of its non-empty level cuts
+    has it (see fuzzy.CutKinds). So one pass over the masks gives each
+    keyset's crisp family (an empty keyset is had by every mask), and a
+    den-d pool holds one subset per chain C_1 ⊇ … ⊇ C_d of members or the
+    empty mask, C_t its cut at t/d, its index the sum of the C_t's 0/1
+    tuple indices. Only subsets some pool keeps are built, once."""
+    n, den = m.order, lattice.den
+    families = {keys: {0: 0} for keys in itertools.chain(*filters)}  # member: its 0/1 tuple's index
+    for cut, r in _zero_one_tuples(n, den)[1:]:
+        for keys, members in families.items():
+            if all(held[cut][k] for k in keys):
+                members[cut] = r
+    ranks = {}
+    for keys, members in families.items():
+        chains = list(members.items())  # (last cut, index so far)
+        for _ in range(den - 1):
+            chains = [(b, r + rb) for cut, r in chains for b, rb in members.items() if not b & ~cut]
+        ranks[keys] = {r for _, r in chains}
+    built = {r: lattice.subset(r // (den + 1) ** (n - 1 - i) % (den + 1) for i in range(n))
+             for r in set().union(*ranks.values())}
+    return [[built[r] for r in sorted(set().union(*map(ranks.get, flt)))] for flt in filters]
 
 
 def two_sided_family(m: GammaMagma, lattice: Lattice, budget: int) -> list[FuzzySubset]:
@@ -713,8 +707,10 @@ def _exhaustive_pools(m, entry, lattice, budget, held):
 
     The budget is charged the tuples the pools hold: a pre-filtered
     position counts at its filtered pool, once the lattice itself fits the
-    budget. Past the budget a linear row is decided on its n^arity
-    singleton tuples, if they fit; any other request raises CapacityError.
+    budget. The pools need no walk of the lattice, so that gate is kept
+    only to keep every capacity stop's output as it was. Past the budget a
+    linear row is decided on its n^arity singleton tuples, if they fit;
+    any other request raises CapacityError.
     """
     count = lattice.count(m.order)
     needed = count ** entry.arity
@@ -759,16 +755,18 @@ def _singleton_decision(m, entry) -> tuple[int, Violation | None]:
 def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
     """Decide a coincide row on every lattice subset: (subsets checked,
     first violation or None), as a loop over Lattice.subsets would report
-    them. The grid walk asks for each condition's keys; the subset is
-    built, and the row's check called for its witness, only at the first
-    tuple where the conditions disagree."""
-    every = (1 << len(entry.conditions)) - 1
-    for checked, (num, mask) in enumerate(_grid_walk(m, lattice, entry.conditions, held), 1):
-        if mask and mask != every:
-            violation = entry.check(m, lattice.subset(num), held=held)
+    them, from the 0/1 tuples alone. Where a subset's conditions disagree,
+    one holds on every non-empty level cut and another fails on some cut
+    C, so they disagree on the subset with value 1/den on C and 0
+    elsewhere; its numerators are at most the first's, so it comes no
+    later. The first disagreement is thus at a 0/1 tuple; only there is
+    the subset built and the row's check called, for its witness."""
+    for cut, r in _zero_one_tuples(m.order, lattice.den)[1:]:
+        if len({all(held[cut][k] for k in keys) for keys in entry.conditions}) == 2:
+            violation = entry.check(m, lattice.subset(cut >> i & 1 for i in range(m.order)), held=held)
             if violation is None:
                 raise AssertionError("the cut flags disagree but the row's check passes")
-            return checked, violation
+            return r + 1, violation
     return lattice.count(m.order), None
 
 
@@ -805,7 +803,7 @@ def _decide(m, entry, lattice, mode, seed, samples, budget) -> tuple[str, int, V
     if mode == "sampled":
         tuples = _sampled_tuples(m, entry, lattice, seed, samples, budget, held)
     elif entry.conditions is not None:
-        # a coincide row walks cut chains, one tuple per lattice subset
+        # a coincide row is charged a tuple per lattice subset
         _charge(lattice.count(m.order), budget, "exhaustive check", "tuples")
         return (mode, *_cut_walk(m, entry, lattice, held))
     else:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import oracles
 from gammag.core import CapacityError, GammaMagma, InputError
 from gammag.fuzzy import FUZZY_KINDS, FuzzySubset, Lattice, gamma_product, leq, meet
 from gammag import fuzzy, theorems
-from gammag.crisp import FIXED_POINTS, KindProducts
+from gammag.crisp import FIXED_POINTS, KindProducts, enumerate_ideals
 from gammag.theorems import (
     DEFAULT_TUPLE_BUDGET,
     HYPOTHESIS_NAMES,
@@ -299,6 +300,46 @@ def test_grid_pools_match_a_filter_over_lattice_subsets(ir5, ag9, li_models_smal
             want = [f for f, found in zip(subsets, has) if any(found.issuperset(alt) for alt in flt)]
             assert pool == want, (m.tables, den, flt)
         assert pools[-1] == subsets
+
+
+def _chain_count(members, den):
+    """The den-d subsets whose non-empty level cuts are all in members:
+    sum over k of c_k * C(den, k), c_k the strict k-chains of members."""
+    total, k, ends = 1, 0, dict.fromkeys(members, 1)  # strict chains by their least member
+    while ends and k < den:
+        k += 1
+        total += sum(ends.values()) * math.comb(den, k)
+        ends = {a: sum(n for b, n in ends.items() if a != b and not a & ~b) for a in members}
+        ends = {a: n for a, n in ends.items() if n}
+    return total
+
+
+def test_pool_sizes_match_chain_counts_of_crisp_families(ir5, ag9, li_models_small):
+    # each family comes from crisp.enumerate_ideals, not from the cut
+    # engine the pools read, so the counts check the pools past the grids
+    # a brute-force filter can reach; left|right is counted by
+    # inclusion-exclusion with the family of masks both left and right
+    rng = random.Random(2710)
+    randoms = []
+    for _ in range(40):
+        n, k = rng.choice((2, 3, 4)), rng.choice((1, 2))
+        randoms.append(GammaMagma(order=n, gamma=("a", "b")[:k], tables=tuple(
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(k))))
+    cases = [(ir5, den) for den in range(1, 7)] + [(ag9, den) for den in (1, 2, 3)]
+    cases += [(m, den) for m in li_models_small + randoms for den in (1, 2, 3)]
+    filters = [(("left",),), (("right",),), (("quasi",),), (("quasi", "idempotent"),), (("two_sided",),),
+               (("left",), ("right",))]
+    one_sided_differ = 0
+    for m, den in cases:
+        family = {(kind,): {a.bits for a in enumerate_ideals(m, kind)}
+                  for kind in ("left", "right", "quasi", "two_sided")}
+        family["quasi", "idempotent"] = {a for a in family["quasi",] if KindProducts(m, a)["=AA"]}
+        one_sided_differ += family["left",] != family["right",]
+        want = [_chain_count(family[alt], den) for (alt,) in filters[:5]]
+        want.append(want[0] + want[1] - _chain_count(family["left",] & family["right",], den))
+        pools = theorems._grid_pools(m, Lattice(den), fuzzy.CutKinds(m), filters)
+        assert [len(pool) for pool in pools] == want, (m.tables, den)
+    assert len(li_models_small) == 219 and one_sided_differ
 
 
 def test_pools_and_family_build_only_the_subsets_they_keep(monkeypatch, ir5):
@@ -647,7 +688,7 @@ def test_cut_walk_matches_brute_force_on_small_models(li_models_small):
     assert len(_COINCIDE_ROWS) == 8
     statuses = []
     for m in tables + li_models_small:
-        for den in (1, 2):
+        for den in (1, 2, 3):
             lattice = Lattice(den)
             for tid, *_, conditions in _COINCIDE_ROWS:
                 checked, v = theorems._cut_walk(m, REGISTRY[tid], lattice, fuzzy.CutKinds(m))
@@ -661,6 +702,14 @@ def test_cut_walk_matches_brute_force_on_small_models(li_models_small):
                 assert oracles.replay_violation(m, v), (m.tables, tid, den)
                 statuses.append("counterexample")
     assert {"holds", "counterexample"} <= set(statuses)
+
+
+def test_coincide_rows_hold_past_den_6(ir5):
+    # at den 15 the grid has 16**5 points; the rows read its 2**5 0/1 tuples
+    # and still report every point checked
+    for tid in ("llb", "grand_equiv"):
+        v = verify(ir5, tid, Lattice(15), budget=16**5)
+        assert (v.status, v.checked, v.violation) == ("holds", 1_048_576, None), tid
 
 
 # ---------------------------------------------------------------------------
