@@ -185,12 +185,12 @@ def _charge(needed: int, budget: int, work: str, unit: str) -> None:
 
 
 def _zero_one_tuples(order, den) -> list[tuple[int, int]]:
-    """The subsets with numerators 0 and 1, in Lattice.subsets order, as
-    (mask of the 1s, index in that order)."""
+    """The non-empty subsets with numerators 0 and 1, in Lattice.subsets
+    order, as (mask of the 1s, index in that order)."""
     cuts = [(0, 0)]
     for i in reversed(range(order)):
         cuts += [(cut | 1 << i, r + (den + 1) ** (order - 1 - i)) for cut, r in cuts]
-    return cuts
+    return cuts[1:]
 
 
 def _grid_pools(m, lattice, held, filters) -> list[list[FuzzySubset]]:
@@ -205,7 +205,7 @@ def _grid_pools(m, lattice, held, filters) -> list[list[FuzzySubset]]:
     tuple indices. Only subsets some pool keeps are built, once."""
     n, den = m.order, lattice.den
     families = {keys: {0: 0} for keys in itertools.chain(*filters)}  # member: its 0/1 tuple's index
-    for cut, r in _zero_one_tuples(n, den)[1:]:
+    for cut, r in _zero_one_tuples(n, den):
         for keys, members in families.items():
             if all(held[cut][k] for k in keys):
                 members[cut] = r
@@ -761,7 +761,7 @@ def _cut_walk(m, entry, lattice, held) -> tuple[int, Violation | None]:
     elsewhere; its numerators are at most the first's, so it comes no
     later. The first disagreement is thus at a 0/1 tuple; only there is
     the subset built and the row's check called, for its witness."""
-    for cut, r in _zero_one_tuples(m.order, lattice.den)[1:]:
+    for cut, r in _zero_one_tuples(m.order, lattice.den):
         if len({all(held[cut][k] for k in keys) for keys in entry.conditions}) == 2:
             violation = entry.check(m, lattice.subset(cut >> i & 1 for i in range(m.order)), held=held)
             if violation is None:

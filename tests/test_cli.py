@@ -265,7 +265,7 @@ def test_verify_capacity_exit(capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    # a coincide row's walk of the 3**5 lattice subsets
+    # a coincide row is charged the 3**5 lattice subsets
     (("llb", "--lattice", "2", "--budget", "5"), "exhaustive check needs 243 tuples; budget is 5"),
     (("trm_i", "--mode", "sampled:1:400000"), "sampling needs 1200000 draws; budget is 1000000"),
     (("semi1", "--lattice", "3", "--budget", "100"), "family enumeration needs 1024 lattice subsets; budget is 100"),

@@ -283,7 +283,7 @@ def _registry_filters():
 
 
 def test_grid_pools_match_a_filter_over_lattice_subsets(ir5, ag9, li_models_small):
-    # one walk of the grid fills every registry pool, the two-sided
+    # one pass over the masks fills every registry pool, the two-sided
     # family's and the empty alternative's (every subset), each in
     # Lattice.subsets order and equal to a naive filter of the subsets
     filters = _registry_filters() + [(("two_sided",),), ((),)]
@@ -648,7 +648,7 @@ def test_linear_row_over_budget_decided_on_singletons(ir5, m2):
 
 
 # ---------------------------------------------------------------------------
-# coincide rows walked as level-cut chains, against brute force
+# coincide rows decided on 0/1 tuples, against brute force
 
 _COINCIDE_ROWS = [row for row in theorems._ROWS if row[4] == "coincide"]
 
@@ -680,7 +680,7 @@ def _naive_coincide(m, conditions, lattice):
 
 def test_cut_walk_matches_brute_force_on_small_models(li_models_small):
     # verify gates these structures out by hypothesis, and only there do
-    # the conditions of a coincide row disagree, so the walk is called directly
+    # the conditions of a coincide row disagree, so _cut_walk is called directly
     tables = [
         GammaMagma(order=2, gamma=("a",), tables=((flat[:2], flat[2:]),))
         for flat in itertools.product(range(2), repeat=4)
